@@ -78,38 +78,29 @@ fn main() {
     dump_par();
 }
 
-/// Every cache in the stack, per tier: the totals (`core.cache.*`,
-/// `serve.pool.*` — each lookup counted once whichever tier resolved it)
-/// alongside the lossy front tier's own `cache.<name>.*` counters.
+/// Every cache in the stack: the conversion and trace caches' hit/miss
+/// totals, and the class interner's lossy front tier (`cache.intern.*`).
 fn dump_caches() {
-    println!(
-        "\n### caches (front tier {})",
-        if dtc_par::front_tier_enabled() { "on" } else { "off" }
-    );
+    println!("\n### caches");
     let c = |name: &str| dtc_telemetry::counter(name).get();
     println!(
-        "  conversion      {:10} hits / {} misses / {} collisions (total)",
+        "  conversion      {:10} hits / {} misses",
         c("core.cache.conversion.hits"),
-        c("core.cache.conversion.misses"),
-        c("core.cache.conversion.collisions")
+        c("core.cache.conversion.misses")
     );
     println!(
-        "  trace           {:10} hits / {} misses (total)",
+        "  trace           {:10} hits / {} misses",
         c("core.cache.trace.hits"),
         c("core.cache.trace.misses")
     );
-    for name in ["conversion", "trace", "intern", "pool"] {
-        let hits = c(&format!("cache.{name}.l1_hits"));
-        let misses = c(&format!("cache.{name}.l1_misses"));
-        if hits + misses == 0 {
-            continue; // tier never probed in this run
-        }
+    let (hits, misses) = (c("cache.intern.l1_hits"), c("cache.intern.l1_misses"));
+    if hits + misses > 0 {
         println!(
-            "  {name:<15} {hits:10} l1 hits / {} l1 misses / {} evictions / {} verify rejects ({:.0} ns/lookup sampled)",
+            "  intern          {hits:10} l1 hits / {} l1 misses / {} evictions / {} verify rejects ({:.0} ns/lookup sampled)",
             misses,
-            c(&format!("cache.{name}.l1_evictions")),
-            c(&format!("cache.{name}.verify_rejects")),
-            dtc_telemetry::gauge(&format!("cache.{name}.ns_per_lookup")).get()
+            c("cache.intern.l1_evictions"),
+            c("cache.intern.verify_rejects"),
+            dtc_telemetry::gauge("cache.intern.ns_per_lookup").get()
         );
     }
 }

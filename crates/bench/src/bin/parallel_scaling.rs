@@ -209,28 +209,6 @@ fn main() {
     assert_eq!(misses1, misses0 + 1, "second build must not re-convert");
     eprintln!("  cache: cold build {cold_ms:.1} ms, warm build {warm_ms:.1} ms");
 
-    // Two-tier delta on the warm path: a verified front hit resolves the
-    // build from the cheap key material alone, skipping the exact primary
-    // key (three more full passes over the matrix). Engines are identical
-    // either way; only lookup time moves.
-    let warm_build_ms = |enabled: bool| -> f64 {
-        dtc_par::set_front_tier_enabled(enabled);
-        let mut best = f64::INFINITY;
-        for _ in 0..5 {
-            let t = Instant::now();
-            let _e = DtcSpmm::new(&a);
-            best = best.min(t.elapsed().as_secs_f64() * 1e3);
-        }
-        best
-    };
-    let warm_exact_ms = warm_build_ms(false);
-    let warm_tiered_ms = warm_build_ms(true);
-    dtc_par::set_front_tier_enabled(true);
-    eprintln!(
-        "  cache: warm build exact-only {warm_exact_ms:.3} ms, two-tier {warm_tiered_ms:.3} ms ({:.2}x)",
-        warm_exact_ms / warm_tiered_ms.max(1e-9)
-    );
-
     let max_speedup = samples.iter().map(|s| serial_ms / s.total_ms).fold(0.0f64, f64::max);
     let max_crit_speedup =
         samples.iter().map(|s| serial_crit_ms / s.crit_ms()).fold(0.0f64, f64::max);
@@ -279,8 +257,6 @@ fn main() {
             Json::obj_inline(vec![
                 ("cold_build_ms", Json::f(cold_ms, 3)),
                 ("warm_build_ms", Json::f(warm_ms, 3)),
-                ("warm_exact_ms", Json::f(warm_exact_ms, 3)),
-                ("warm_two_tier_ms", Json::f(warm_tiered_ms, 3)),
             ]),
         ),
     ])

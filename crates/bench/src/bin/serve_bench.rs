@@ -91,36 +91,6 @@ fn assert_bitwise(tenants: &[TenantSpec], serve: &ServeConfig) {
     println!("bitwise: served == direct for all {} tenants", tenants.len());
 }
 
-/// Mean warm-request latency against one server whose engine pool already
-/// holds every tenant engine, with the pool's lossy front tier off or on.
-/// Results are identical either way; only the pool lookup path changes.
-fn warm_request_ms(
-    tenants: &[TenantSpec],
-    serve: &ServeConfig,
-    enabled: bool,
-    rounds: usize,
-) -> f64 {
-    dtc_par::set_front_tier_enabled(enabled);
-    let server = SpmmServer::new(serve.clone());
-    let request = |t: usize| Request {
-        tenant: t,
-        kind: tenants[t].kind,
-        config: tenants[t].config.clone(),
-        matrix: Arc::clone(&tenants[t].matrix),
-        b: DenseMatrix::ones(tenants[t].matrix.cols(), tenants[t].n_cols),
-    };
-    for t in 0..tenants.len() {
-        server.serve_one(request(t)).expect("pool warmup failed");
-    }
-    let t0 = std::time::Instant::now();
-    for _ in 0..rounds {
-        for t in 0..tenants.len() {
-            server.serve_one(request(t)).expect("warm serve failed");
-        }
-    }
-    t0.elapsed().as_secs_f64() * 1e3 / (rounds * tenants.len()) as f64
-}
-
 fn json_point(p: &LoadPoint) -> Json {
     let hist = p
         .batch_hist
@@ -187,20 +157,6 @@ fn main() {
         );
     }
 
-    // End-to-end two-tier delta on the warm request path, plus the pool
-    // front tier's own counters for the whole run.
-    let rounds = if smoke { 25 } else { 100 };
-    let pool_exact_ms = warm_request_ms(&tenants, &cfg.serve, false, rounds);
-    let pool_tiered_ms = warm_request_ms(&tenants, &cfg.serve, true, rounds);
-    dtc_par::set_front_tier_enabled(true);
-    let l1_hits = dtc_telemetry::counter("cache.pool.l1_hits").get();
-    let l1_misses = dtc_telemetry::counter("cache.pool.l1_misses").get();
-    println!(
-        "pool front tier: warm request exact-only {pool_exact_ms:.4} ms, two-tier \
-         {pool_tiered_ms:.4} ms ({:.2}x); l1 hits {l1_hits}, l1 misses {l1_misses}",
-        pool_exact_ms / pool_tiered_ms.max(1e-9)
-    );
-
     let json = Json::obj(vec![
         ("bench", Json::str("serve")),
         ("smoke", Json::bool(smoke)),
@@ -209,15 +165,6 @@ fn main() {
         ("requests_per_point", Json::usize(cfg.requests)),
         ("calibrated_service_ms", Json::f(service_ms, 4)),
         ("sweep", Json::arr(points.iter().map(json_point).collect())),
-        (
-            "pool_front_tier",
-            Json::obj_inline(vec![
-                ("warm_exact_ms", Json::f(pool_exact_ms, 4)),
-                ("warm_two_tier_ms", Json::f(pool_tiered_ms, 4)),
-                ("l1_hits", Json::u64(l1_hits)),
-                ("l1_misses", Json::u64(l1_misses)),
-            ]),
-        ),
     ])
     .render();
     std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");

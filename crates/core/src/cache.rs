@@ -3,42 +3,25 @@
 //!
 //! The paper's §6 point is that conversion overhead amortizes across the
 //! thousands of SpMM calls an iterative workload makes; this cache makes
-//! the host-side analogue concrete. Lookup is **two-tier**:
+//! the host-side analogue concrete. The store is a plain `HashMap` keyed by
+//! the matrix's full identity, [`KeyMaterial`] (dims, nnz and three
+//! independently seeded 64-bit digests of the index and value arrays), so a
+//! lookup costs one [`KeyMaterial::of`] pass plus one probe, and every hit
+//! is checked by full key equality.
 //!
-//! 1. a lossy [`FrontTier`] keyed by [`KeyMaterial::fingerprint`] and
-//!    verified by full [`KeyMaterial`] equality on every hit. A front hit
-//!    skips [`matrix_key`] entirely — the three full-array passes the
-//!    exact tier's primary key costs — so a steady-state repeated build
-//!    pays only the material checksums plus one direct-mapped probe;
-//! 2. the exact tier: the primary key is a 64-bit FNV-1a hash over the
-//!    full matrix structure (shape, `row_ptr`, `col_idx`, value bits) —
-//!    but a bare 64-bit hash is not an identity: a collision would
-//!    silently return *another matrix's* conversion and corrupt every
-//!    downstream result. Each entry therefore stores independent key
-//!    material ([`KeyMaterial`]: dims, nnz, and second-hash checksums of
-//!    the index and value arrays) that is verified on every hit;
-//!    mismatches are counted in `core.cache.conversion.collisions` and
-//!    fall through to a fresh conversion stored alongside the colliding
-//!    entry.
-//!
-//! Both tiers resolve to the same `Arc`, so results are bitwise identical
-//! with the front tier on, off (`dtc_par::set_front_tier_enabled`), or
-//! thrashing. Front-tier traffic is counted under `cache.conversion.*`
-//! (l1 hits/misses/evictions/verify rejects); total hit/miss counts live
-//! in the process-wide [`dtc_telemetry`] registry
-//! (`core.cache.conversion.hits` / `.misses`) and count each lookup once
-//! regardless of which tier resolved it, so [`conversion_cache_stats`] —
-//! the thin PR-2-era reader over the registry — needs no caller changes
-//! and never double-counts.
+//! Each entry holds its ME-TCF behind an `Arc`: an engine built from the
+//! cache shares the entry's allocation instead of copying it, so one
+//! matrix has one resident ME-TCF however many engines are built over it.
+//! Hit/miss counts live in the process-wide [`dtc_telemetry`] registry
+//! (`core.cache.conversion.hits` / `.misses`); [`conversion_cache_stats`]
+//! is the thin reader over them.
 
 use crate::error::DtcError;
 use crate::telemetry::{
-    conversion_cache_collisions, conversion_cache_hits, conversion_cache_invalidations,
-    conversion_cache_misses,
+    conversion_cache_hits, conversion_cache_invalidations, conversion_cache_misses,
 };
 use dtc_formats::{CsrMatrix, MeTcfMatrix, BLOCK_WIDTH, WINDOW_HEIGHT};
 use dtc_par::hash::{fnv1a, fnv1a_slice, Fnv1a};
-use dtc_par::FrontTier;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -46,21 +29,19 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// the L2 model needs (both derived from the same CSR walk).
 #[derive(Debug)]
 pub struct CachedConversion {
-    /// The converted matrix.
-    pub metcf: MeTcfMatrix,
+    /// The converted matrix, shared with every engine built from it.
+    pub metcf: Arc<MeTcfMatrix>,
     /// Number of distinct columns of the source matrix.
     pub distinct_cols: usize,
 }
 
-/// Matrix identity material, verified on every primary-key hit — and,
-/// since the `SpmmEngine` redesign, the public identity every prepared
-/// engine reports through [`crate::SpmmEngine::key`] so the serving layer
-/// can key its engine pool on it.
+/// Matrix identity: the conversion cache's key and the public identity
+/// every prepared engine reports through [`crate::SpmmEngine::key`], so the
+/// serving layer can key its engine pool on it.
 ///
 /// Dims and nnz are stored outright; the three arrays are summarized by
-/// FNV-1a checksums seeded differently from [`matrix_key`], so a
-/// primary-key collision and a simultaneous three-checksum collision would
-/// need independent 64-bit coincidences.
+/// differently seeded FNV-1a checksums, so two distinct matrices of equal
+/// shape share a key only by three independent 64-bit coincidences.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct KeyMaterial {
     rows: usize,
@@ -75,8 +56,8 @@ impl KeyMaterial {
     /// Computes the identity material of a matrix (three chunked-parallel
     /// checksum passes; digests are independent of `DTC_THREADS`).
     pub fn of(a: &CsrMatrix) -> Self {
-        // Distinct offset bases decorrelate the checksums from the primary
-        // key (all use the same FNV prime over the same streams).
+        // Distinct offset bases decorrelate the three checksums (all use
+        // the same FNV prime).
         KeyMaterial {
             rows: a.rows(),
             cols: a.cols(),
@@ -174,9 +155,8 @@ impl KeyMaterial {
     }
 
     /// A single 64-bit digest of the full material (dims, nnz and all
-    /// three checksums), for callers that bucket by one word and verify
-    /// with the full `KeyMaterial` equality — the conversion cache's and
-    /// the serve pool's discipline.
+    /// three checksums): a compact label for logs and event streams, not
+    /// an identity.
     pub fn fingerprint(&self) -> u64 {
         fnv1a(
             0xa135_2969_7a6b_11c4,
@@ -193,56 +173,31 @@ impl KeyMaterial {
     }
 }
 
-/// Bound on resident exact-tier entries; reaching it clears both tiers
-/// (the workloads we serve cycle over small dataset suites, so wholesale
-/// eviction is fine and keeps the bookkeeping trivial).
+/// Bound on resident entries; reaching it clears the store (the workloads
+/// we serve cycle over small dataset suites, so wholesale eviction is fine
+/// and keeps the bookkeeping trivial).
 const CACHE_CAP: usize = 64;
 
-/// Front-tier slots: comfortably above [`CACHE_CAP`], so a working set the
-/// exact tier retains can also be fully front-resident.
-const FRONT_SLOTS: usize = 256;
+type Store = HashMap<KeyMaterial, Arc<CachedConversion>>;
 
-/// Each primary key holds a small bucket so verified non-matches
-/// (collisions) can coexist instead of evicting each other.
-type Bucket = Vec<(KeyMaterial, Arc<CachedConversion>)>;
+static CACHE: OnceLock<Mutex<Store>> = OnceLock::new();
 
-/// Both tiers under one lock: the front tier can never disagree with the
-/// exact store about what is resident.
-struct ConvCache {
-    front: FrontTier<KeyMaterial, Arc<CachedConversion>>,
-    exact: HashMap<u64, Bucket>,
+fn cache() -> &'static Mutex<Store> {
+    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-static CACHE: OnceLock<Mutex<ConvCache>> = OnceLock::new();
-
-fn cache() -> &'static Mutex<ConvCache> {
-    CACHE.get_or_init(|| {
-        Mutex::new(ConvCache {
-            front: FrontTier::new("conversion", FRONT_SLOTS),
-            exact: HashMap::new(),
-        })
-    })
-}
-
-/// FNV-1a over the matrix's full structure and value bits (each array
-/// digested by the chunked-parallel pass, digests combined in order).
-pub fn matrix_key(a: &CsrMatrix) -> u64 {
-    let shape = fnv1a(
-        0xcbf2_9ce4_8422_2325,
-        [a.rows() as u64, a.cols() as u64, a.nnz() as u64].into_iter(),
-    );
-    let parts = [
-        fnv1a_slice(0x84222325_cbf29ce4, a.row_ptr(), |&p| p as u64),
-        fnv1a_slice(0x9ce48422_2325cbf2, a.col_idx(), |&c| c as u64),
-        fnv1a_slice(0x2325cbf2_9ce48422, a.values(), |v| v.to_bits() as u64),
-    ];
-    fnv1a(shape, parts.into_iter())
+/// Files `conversion` under `material`, clearing the store first if it is
+/// full.
+fn insert(material: KeyMaterial, conversion: Arc<CachedConversion>) {
+    let mut c = cache().lock().unwrap();
+    if c.len() >= CACHE_CAP {
+        c.clear();
+    }
+    c.insert(material, conversion);
 }
 
 /// Returns the cached conversion for `a`, converting (and inserting) on
-/// miss. The front tier is probed first on the material fingerprint alone:
-/// a verified front hit never computes [`matrix_key`] (three more full
-/// passes over the matrix), which is where the steady-state 2x comes from.
+/// miss.
 ///
 /// # Errors
 ///
@@ -250,43 +205,9 @@ pub fn matrix_key(a: &CsrMatrix) -> u64 {
 /// ([`DtcError::Format`]); nothing is cached on error.
 pub fn metcf_for(a: &CsrMatrix) -> Result<Arc<CachedConversion>, DtcError> {
     let material = KeyMaterial::of(a);
-    let fp = material.fingerprint();
-    if let Some(hit) = cache().lock().unwrap().front.get(fp, &material) {
+    if let Some(hit) = cache().lock().unwrap().get(&material) {
         conversion_cache_hits().incr();
-        return Ok(hit);
-    }
-    lookup_or_convert_inner(matrix_key(a), a, material, fp)
-}
-
-/// The exact-tier core, keyed explicitly so tests can force primary-key
-/// collisions: a hit requires both the primary key *and* the stored
-/// [`KeyMaterial`] to match; a key match with foreign material counts a
-/// collision and converts fresh.
-#[cfg(test)]
-fn lookup_or_convert(key: u64, a: &CsrMatrix) -> Arc<CachedConversion> {
-    let material = KeyMaterial::of(a);
-    let fp = material.fingerprint();
-    lookup_or_convert_inner(key, a, material, fp).expect("test matrices stay within u32 bounds")
-}
-
-fn lookup_or_convert_inner(
-    key: u64,
-    a: &CsrMatrix,
-    material: KeyMaterial,
-    fp: u64,
-) -> Result<Arc<CachedConversion>, DtcError> {
-    {
-        let mut c = cache().lock().unwrap();
-        if let Some(bucket) = c.exact.get(&key) {
-            if let Some((_, hit)) = bucket.iter().find(|(m, _)| *m == material) {
-                conversion_cache_hits().incr();
-                let hit = Arc::clone(hit);
-                // Refill the front slot so the next lookup is one probe.
-                c.front.insert(fp, material, Arc::clone(&hit));
-                return Ok(hit);
-            }
-            conversion_cache_collisions().incr();
-        }
+        return Ok(Arc::clone(hit));
     }
     conversion_cache_misses().incr();
     // Convert outside the lock: conversion fans out over worker threads and
@@ -296,25 +217,15 @@ fn lookup_or_convert_inner(
     // `from_csr` path condenses in parallel but packed serially, which
     // Amdahl-capped every cold engine build.
     let built = Arc::new(CachedConversion {
-        metcf: crate::convert::convert_to_metcf_parallel(a, dtc_par::num_threads())?,
+        metcf: Arc::new(crate::convert::convert_to_metcf_parallel(a, dtc_par::num_threads())?),
         distinct_cols: dtc_baselines::util::distinct_col_count(a),
     });
-    let mut c = cache().lock().unwrap();
-    if c.exact.len() >= CACHE_CAP {
-        c.exact.clear();
-        c.front.clear();
-    }
-    c.exact.entry(key).or_default().push((material.clone(), Arc::clone(&built)));
-    c.front.insert(fp, material, Arc::clone(&built));
+    insert(material, Arc::clone(&built));
     Ok(built)
 }
 
-/// Purges every cached conversion whose stored [`KeyMaterial`] equals
-/// `material`, from both tiers, returning the number of exact-tier entries
-/// removed. The front tier is purged **by key** ([`FrontTier::invalidate`]
-/// drops the slot only if the resident entry verifies against `material`)
-/// — purging by slot index would evict an innocent collision neighbor and,
-/// worse, leave a stale entry behind if the slot had been overwritten.
+/// Purges the cached conversion keyed by `material`, returning the number
+/// of entries removed (0 or 1).
 ///
 /// This is the conversion-cache arm of the delta-update invalidation
 /// contract: after [`crate::DtcSpmm::apply_delta`] mutates a matrix, a
@@ -323,55 +234,32 @@ pub fn invalidate_conversion(material: &KeyMaterial) -> usize {
     let Some(cache) = CACHE.get() else {
         return 0;
     };
-    let mut c = cache.lock().unwrap();
-    let mut removed = 0;
-    c.exact.retain(|_, bucket| {
-        let before = bucket.len();
-        bucket.retain(|(m, _)| m != material);
-        removed += before - bucket.len();
-        !bucket.is_empty()
-    });
-    c.front.invalidate(material.fingerprint(), material);
-    if removed > 0 {
-        conversion_cache_invalidations().add(removed as u64);
+    let removed = cache.lock().unwrap().remove(material).is_some();
+    if removed {
+        conversion_cache_invalidations().incr();
     }
-    removed
+    removed as usize
 }
 
-/// Seeds the cache with an already-built conversion for `a` (both tiers),
-/// e.g. the freshly patched ME-TCF a delta update produced. Sound because
-/// ME-TCF packing is a pure function of the CSR content and the delta path
-/// is bitwise-identical to a rebuild, so the seeded entry equals what a
-/// cold conversion of `a` would compute.
+/// Seeds the cache with an already-built conversion for `a`, e.g. the
+/// freshly patched ME-TCF a delta update produced. Sound because ME-TCF
+/// packing is a pure function of the CSR content and the delta path is
+/// bitwise-identical to a rebuild, so the seeded entry equals what a cold
+/// conversion of `a` would compute.
 pub fn admit_conversion(a: &CsrMatrix, conversion: Arc<CachedConversion>) {
-    let material = KeyMaterial::of(a);
-    let fp = material.fingerprint();
-    let key = matrix_key(a);
-    let mut c = cache().lock().unwrap();
-    if c.exact.len() >= CACHE_CAP {
-        c.exact.clear();
-        c.front.clear();
-    }
-    let bucket = c.exact.entry(key).or_default();
-    bucket.retain(|(m, _)| *m != material);
-    bucket.push((material.clone(), Arc::clone(&conversion)));
-    c.front.insert(fp, material, conversion);
+    insert(KeyMaterial::of(a), conversion);
 }
 
 /// `(hits, misses)` of the process-wide conversion cache — a thin wrapper
-/// over the `core.cache.conversion.*` registry counters. Each lookup is
-/// counted once whether the front or the exact tier resolved it, so this
-/// legacy reader needs no tier awareness.
+/// over the `core.cache.conversion.*` registry counters.
 pub fn conversion_cache_stats() -> (u64, u64) {
     (conversion_cache_hits().get(), conversion_cache_misses().get())
 }
 
-/// Empties both tiers (counters are left running; tests diff them instead).
+/// Empties the cache (counters are left running; tests diff them instead).
 pub fn clear_conversion_cache() {
     if let Some(cache) = CACHE.get() {
-        let mut c = cache.lock().unwrap();
-        c.exact.clear();
-        c.front.clear();
+        cache.lock().unwrap().clear();
     }
 }
 
@@ -398,14 +286,14 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_purges_both_tiers_and_admit_reseeds() {
+    fn invalidate_purges_and_admit_reseeds() {
         let a = uniform(144, 144, 1000, 8181);
         let first = metcf_for(&a).unwrap();
         let material = KeyMaterial::of(&a);
 
         assert_eq!(invalidate_conversion(&material), 1);
         // Post-invalidation lookup must reconvert (a fresh Arc), not serve
-        // the purged entry from either tier.
+        // the purged entry.
         let (_, misses0) = conversion_cache_stats();
         let again = metcf_for(&a).unwrap();
         assert!(!Arc::ptr_eq(&first, &again), "invalidated entry must not be served");
@@ -419,7 +307,7 @@ mod tests {
         // without converting.
         invalidate_conversion(&material);
         let seeded = Arc::new(CachedConversion {
-            metcf: MeTcfMatrix::from_csr(&a),
+            metcf: Arc::new(MeTcfMatrix::from_csr(&a)),
             distinct_cols: dtc_baselines::util::distinct_col_count(&a),
         });
         admit_conversion(&a, Arc::clone(&seeded));
@@ -457,73 +345,15 @@ mod tests {
     fn key_depends_on_values_not_just_shape() {
         let a = CsrMatrix::from_triplets(4, 4, &[(0, 1, 1.0), (2, 3, 2.0)]).unwrap();
         let b = CsrMatrix::from_triplets(4, 4, &[(0, 1, 1.0), (2, 3, 2.5)]).unwrap();
-        assert_ne!(matrix_key(&a), matrix_key(&b));
-        assert_eq!(matrix_key(&a), matrix_key(&a.clone()));
+        assert_ne!(KeyMaterial::of(&a), KeyMaterial::of(&b));
+        assert_eq!(KeyMaterial::of(&a), KeyMaterial::of(&a.clone()));
     }
 
     #[test]
     fn cached_conversion_matches_direct() {
         let a = uniform(200, 150, 1200, 323);
         let cached = metcf_for(&a).unwrap();
-        assert_eq!(cached.metcf, MeTcfMatrix::from_csr(&a));
+        assert_eq!(*cached.metcf, MeTcfMatrix::from_csr(&a));
         assert_eq!(cached.distinct_cols, dtc_baselines::util::distinct_col_count(&a));
-    }
-
-    #[test]
-    fn crafted_collision_is_detected_not_served() {
-        // Two different matrices forced onto the SAME primary key: before
-        // hit verification, the second lookup silently returned the first
-        // matrix's conversion. Now the material mismatch is detected,
-        // counted, and both conversions coexist in the bucket.
-        let a = uniform(96, 96, 500, 77);
-        let b = uniform(64, 64, 300, 78);
-        let forced_key = 0xC011_1DED_C011_1DED;
-        let collisions_before = conversion_cache_collisions().get();
-        let conv_a = lookup_or_convert(forced_key, &a);
-        let conv_b = lookup_or_convert(forced_key, &b);
-        assert_eq!(conv_a.metcf.rows(), 96);
-        assert_eq!(conv_b.metcf.rows(), 64, "collision must not serve a's conversion");
-        assert_eq!(conversion_cache_collisions().get(), collisions_before + 1);
-        // Both entries now hit without further collisions or conversions.
-        let (_, misses0) = conversion_cache_stats();
-        assert!(Arc::ptr_eq(&conv_a, &lookup_or_convert(forced_key, &a)));
-        assert!(Arc::ptr_eq(&conv_b, &lookup_or_convert(forced_key, &b)));
-        let (_, misses1) = conversion_cache_stats();
-        assert_eq!(misses1, misses0);
-        assert_eq!(conversion_cache_collisions().get(), collisions_before + 1);
-    }
-
-    #[test]
-    fn front_tier_resolves_repeats_to_the_same_arc() {
-        // Second lookup must resolve in the front tier — observable via the
-        // l1 hit counter — and hand back the exact tier's Arc (bitwise
-        // identity is Arc identity here).
-        let a = uniform(112, 112, 800, 4242);
-        let first = metcf_for(&a).unwrap();
-        let l1_hits = dtc_telemetry::counter("cache.conversion.l1_hits");
-        let before = l1_hits.get();
-        let again = metcf_for(&a).unwrap();
-        assert!(Arc::ptr_eq(&first, &again));
-        assert!(l1_hits.get() > before, "repeat lookup must hit the front tier");
-    }
-
-    #[test]
-    fn exact_only_mode_is_bitwise_identical() {
-        // The same lookups with the front tier disabled must resolve to
-        // the very same cached conversion (Arc identity), at 1 and 4
-        // worker threads (checksums are DTC_THREADS-invariant).
-        let a = uniform(104, 104, 700, 5150);
-        for threads in [1usize, 4] {
-            dtc_par::set_threads(Some(threads));
-            let two_tier = metcf_for(&a).unwrap();
-            dtc_par::set_front_tier_enabled(false);
-            let exact_only = metcf_for(&a).unwrap();
-            dtc_par::set_front_tier_enabled(true);
-            assert!(
-                Arc::ptr_eq(&two_tier, &exact_only),
-                "exact-only and two-tier lookups must agree (threads={threads})"
-            );
-        }
-        dtc_par::set_threads(None);
     }
 }

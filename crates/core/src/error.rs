@@ -75,15 +75,6 @@ impl From<FormatError> for DtcError {
     }
 }
 
-/// The error type `DtcSpmm::execute` and `IterativeSpmm::execute` returned
-/// before the `SpmmEngine` redesign.
-#[deprecated(
-    since = "0.2.0",
-    note = "pipeline and session APIs now return `DtcError`; \
-            match on `DtcError::Format` for the old cases"
-)]
-pub type EngineError = FormatError;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,6 +11,7 @@ use dtc_baselines::SpmmKernel;
 use dtc_formats::{CsrMatrix, DenseMatrix, FormatError, MeTcfMatrix, Precision};
 use dtc_sim::occupancy::KernelResources;
 use dtc_sim::{Device, KernelTrace, TbWork};
+use std::sync::Arc;
 
 /// TC blocks assigned to each thread block ("32 in our implementation").
 pub const BLOCKS_PER_TB: usize = 32;
@@ -51,8 +52,12 @@ impl BalancedDtcKernel {
         BalancedDtcKernel { inner: DtcKernel::with_opts(a, opts), blocks_per_tb: BLOCKS_PER_TB }
     }
 
-    /// Wraps an existing ME-TCF matrix (shared conversion).
-    pub fn from_metcf(metcf: MeTcfMatrix, distinct_cols: usize, opts: KernelOpts) -> Self {
+    /// Wraps an existing ME-TCF matrix (see [`DtcKernel::from_metcf`]).
+    pub fn from_metcf(
+        metcf: impl Into<Arc<MeTcfMatrix>>,
+        distinct_cols: usize,
+        opts: KernelOpts,
+    ) -> Self {
         BalancedDtcKernel {
             inner: DtcKernel::from_metcf(metcf, distinct_cols, opts),
             blocks_per_tb: BLOCKS_PER_TB,
@@ -74,6 +79,11 @@ impl BalancedDtcKernel {
     /// The ME-TCF representation.
     pub fn metcf(&self) -> &MeTcfMatrix {
         self.inner.metcf()
+    }
+
+    /// The shared handle to the ME-TCF, for patching it in place.
+    pub(crate) fn metcf_mut(&mut self) -> &mut Arc<MeTcfMatrix> {
+        self.inner.metcf_mut()
     }
 
     /// Switches the Tensor-Core input precision (see

@@ -9,6 +9,7 @@ use dtc_baselines::SpmmKernel;
 use dtc_formats::{CsrMatrix, DenseMatrix, FormatError, MeTcfMatrix, Precision};
 use dtc_sim::occupancy::KernelResources;
 use dtc_sim::{Device, KernelTrace, TbWork};
+use std::sync::Arc;
 
 /// The occupancy the paper measures for this kernel on RTX4090 (§4.5.2).
 pub(crate) const DTC_OCCUPANCY: usize = 6;
@@ -36,7 +37,7 @@ pub(crate) const DTC_WARPS: usize = 8;
 /// ```
 #[derive(Debug, Clone)]
 pub struct DtcKernel {
-    metcf: MeTcfMatrix,
+    metcf: Arc<MeTcfMatrix>,
     opts: KernelOpts,
     precision: Precision,
     distinct_cols: usize,
@@ -53,18 +54,24 @@ impl DtcKernel {
     /// ablation).
     pub fn with_opts(a: &CsrMatrix, opts: KernelOpts) -> Self {
         DtcKernel {
-            metcf: MeTcfMatrix::from_csr(a),
+            metcf: Arc::new(MeTcfMatrix::from_csr(a)),
             opts,
             precision: Precision::Tf32,
             distinct_cols: distinct_col_count(a),
         }
     }
 
-    /// Wraps an existing ME-TCF matrix (used by the pipeline to share one
-    /// conversion across kernels). `distinct_cols` is the number of
-    /// distinct columns of the original matrix.
-    pub fn from_metcf(metcf: MeTcfMatrix, distinct_cols: usize, opts: KernelOpts) -> Self {
-        DtcKernel { metcf, opts, precision: Precision::Tf32, distinct_cols }
+    /// Wraps an existing ME-TCF matrix. Passing an `Arc` shares it (the
+    /// pipeline hands over the conversion cache's allocation, so kernel
+    /// and cache hold one copy); a plain `MeTcfMatrix` is moved in.
+    /// `distinct_cols` is the number of distinct columns of the original
+    /// matrix.
+    pub fn from_metcf(
+        metcf: impl Into<Arc<MeTcfMatrix>>,
+        distinct_cols: usize,
+        opts: KernelOpts,
+    ) -> Self {
+        DtcKernel { metcf: metcf.into(), opts, precision: Precision::Tf32, distinct_cols }
     }
 
     /// Switches the Tensor-Core input precision (§7: the paper's design
@@ -88,6 +95,11 @@ impl DtcKernel {
     /// The ME-TCF representation.
     pub fn metcf(&self) -> &MeTcfMatrix {
         &self.metcf
+    }
+
+    /// The shared handle to the ME-TCF, for patching it in place.
+    pub(crate) fn metcf_mut(&mut self) -> &mut Arc<MeTcfMatrix> {
+        &mut self.metcf
     }
 
     /// Number of distinct columns touched (shared with the balanced

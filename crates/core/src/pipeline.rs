@@ -12,36 +12,13 @@ use dtc_baselines::SpmmKernel;
 use dtc_formats::{
     CsrMatrix, DeltaReport, DenseMatrix, FormatError, MatrixDelta, MeTcfMatrix, Precision,
 };
-use dtc_par::hash::fnv1a;
-use dtc_par::FrontTier;
 use dtc_reorder::{Reorderer, TcaReorderer};
 use dtc_sim::{Device, KernelTrace};
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Trace-cache key: (N, device fingerprint, record_b_addrs).
 type TraceKey = (usize, u64, bool);
-
-/// Per-engine two-tier trace cache: a lossy [`FrontTier`] (verified by the
-/// full [`TraceKey`]) in front of the exact map. Both under the engine's
-/// existing `Mutex`.
-#[derive(Debug)]
-struct TraceCache {
-    front: FrontTier<TraceKey, KernelTrace>,
-    exact: HashMap<TraceKey, KernelTrace>,
-}
-
-impl TraceCache {
-    fn new() -> Self {
-        // Engines see a handful of (N, device) pairs; 64 slots is plenty.
-        TraceCache { front: FrontTier::new("trace", 64), exact: HashMap::new() }
-    }
-}
-
-/// Word-wise FNV over the trace key for the front-tier slot.
-fn trace_front_hash(key: &TraceKey) -> u64 {
-    fnv1a(dtc_par::hash::FNV_OFFSET, [key.0 as u64, key.1, key.2 as u64].into_iter())
-}
 
 /// Builder for a [`DtcSpmm`] engine: a shared [`EngineConfig`] (every
 /// hashable knob) plus the boxed reordering algorithm.
@@ -168,15 +145,18 @@ impl DtcSpmmBuilder {
             let _phase = dtc_telemetry::span("convert");
             crate::cache::metcf_for(&working)?
         };
-        let metcf = converted.metcf.clone();
-        let distinct = converted.distinct_cols;
         let decision = {
             let _phase = dtc_telemetry::span("select");
-            self.config.selector.decide(&metcf, &self.config.device)
+            self.config.selector.decide(&converted.metcf, &self.config.device)
         };
         let choice = self.config.force.unwrap_or(decision.choice);
         let _phase = dtc_telemetry::span("lower");
-        let kernel = build_kernel(choice, metcf, distinct, &self.config);
+        let kernel = build_kernel(
+            choice,
+            Arc::clone(&converted.metcf),
+            converted.distinct_cols,
+            &self.config,
+        );
         Ok(DtcSpmm {
             perm,
             kernel,
@@ -185,16 +165,16 @@ impl DtcSpmmBuilder {
             key,
             working_key,
             config: self.config,
-            trace_cache: Mutex::new(TraceCache::new()),
+            trace_cache: Mutex::new(HashMap::new()),
         })
     }
 }
 
-/// Lowers the chosen runtime kernel over an ME-TCF build (shared by the
-/// cold pipeline and the delta-update path).
+/// Lowers the chosen runtime kernel over a shared ME-TCF build (used by
+/// the cold pipeline and the delta-update path).
 fn build_kernel(
     choice: KernelChoice,
-    metcf: MeTcfMatrix,
+    metcf: Arc<MeTcfMatrix>,
     distinct: usize,
     config: &EngineConfig,
 ) -> DtcAnyKernel {
@@ -255,6 +235,13 @@ impl DtcAnyKernel {
             DtcAnyKernel::Balanced(k) => k,
         }
     }
+
+    fn metcf_mut(&mut self) -> &mut Arc<MeTcfMatrix> {
+        match self {
+            DtcAnyKernel::Base(k) => k.metcf_mut(),
+            DtcAnyKernel::Balanced(k) => k.metcf_mut(),
+        }
+    }
 }
 
 /// The assembled DTC-SpMM engine: holds the (possibly reordered) ME-TCF
@@ -279,9 +266,8 @@ pub struct DtcSpmm {
     config: EngineConfig,
     /// Memoized kernel traces, keyed by (N, device fingerprint,
     /// record_b_addrs): repeated `simulate` calls on one engine re-lower
-    /// the kernel zero times. Two-tier: a lossy verified front slot in
-    /// front of the exact map.
-    trace_cache: Mutex<TraceCache>,
+    /// the kernel zero times.
+    trace_cache: Mutex<HashMap<TraceKey, KernelTrace>>,
 }
 
 impl DtcSpmm {
@@ -311,7 +297,8 @@ impl DtcSpmm {
         self.perm.as_deref()
     }
 
-    /// The ME-TCF representation in use.
+    /// The ME-TCF representation in use. A freshly built engine shares it
+    /// with the conversion cache entry it was built from.
     pub fn metcf(&self) -> &MeTcfMatrix {
         match &self.kernel {
             DtcAnyKernel::Base(k) => k.metcf(),
@@ -390,15 +377,19 @@ impl DtcSpmm {
     /// with reordering remap them through the frozen permutation (the
     /// permutation itself is never recomputed by a delta).
     ///
-    /// Invalidation contract: before the engine mutates, every process-wide
-    /// cache entry derived from the pre-edit matrix is retired —
-    /// conversion-cache entries (front tier purged **by key**, exact tier
-    /// by stored material) under both the original and working identities,
-    /// and this engine's whole trace cache (its keys carry no matrix
-    /// identity, so every memoized trace and the duration classes interned
-    /// inside them are stale). The cache is purged, **not** re-seeded: a
-    /// post-edit lookup either misses (and reconverts) or was admitted
-    /// after the edit — it can never serve a pre-edit artifact.
+    /// The engine's ME-TCF is shared with the conversion cache until the
+    /// first edit, which patches a private copy and purges the cache's
+    /// reference; later edits find the engine the sole owner and patch the
+    /// resident matrix in place, with no copy.
+    ///
+    /// Invalidation contract: every process-wide cache entry derived from
+    /// the pre-edit matrix is retired — the conversion-cache entries under
+    /// both the original and working identities, and this engine's whole
+    /// trace cache (its keys carry no matrix identity, so every memoized
+    /// trace and the duration classes interned inside them are stale). The
+    /// cache is purged, **not** re-seeded: a post-edit lookup either misses
+    /// (and reconverts) or was admitted after the edit — it can never serve
+    /// a pre-edit artifact.
     ///
     /// # Errors
     ///
@@ -440,10 +431,22 @@ impl DtcSpmm {
             }
         };
 
-        // Patch a copy of the resident format; `self` is untouched until
-        // every fallible step has succeeded.
-        let mut patched = self.metcf().clone();
-        let report = patched.apply_delta(effective)?;
+        // Patch in place when the engine is the sole owner; otherwise (the
+        // conversion cache still shares the matrix) patch a copy and swap
+        // it in. `MeTcfMatrix::apply_delta` leaves its receiver unchanged
+        // on error, so either way a failed edit leaves the engine and the
+        // cache untouched.
+        let shared = self.kernel.metcf_mut();
+        let report = match Arc::get_mut(shared) {
+            Some(resident) => resident.apply_delta(effective)?,
+            None => {
+                let mut copy = MeTcfMatrix::clone(shared);
+                let report = copy.apply_delta(effective)?;
+                *shared = Arc::new(copy);
+                report
+            }
+        };
+        let patched = Arc::clone(shared);
 
         // New identities and per-matrix statistics, straight from the
         // patched format. The common (unreordered) path never materializes
@@ -456,7 +459,8 @@ impl DtcSpmm {
         let new_key = match &self.perm {
             None => new_working_key.clone(),
             Some(perm) => {
-                let working = patched.to_csr()?;
+                let working =
+                    patched.to_csr().expect("a packed ME-TCF reconstructs a valid CSR matrix");
                 let mut inv = vec![0usize; perm.len()];
                 for (new_row, &orig_row) in perm.iter().enumerate() {
                     inv[orig_row] = new_row;
@@ -473,11 +477,8 @@ impl DtcSpmm {
         if self.key != self.working_key {
             crate::cache::invalidate_conversion(&self.key);
         }
-        {
-            let mut cache = self.trace_cache.lock().unwrap();
-            *cache = TraceCache::new();
-            crate::telemetry::trace_cache_invalidations().incr();
-        }
+        self.trace_cache.lock().unwrap().clear();
+        crate::telemetry::trace_cache_invalidations().incr();
 
         // Drift-gated re-selection: below the threshold the previous
         // decision (and its makespan model) is reused as-is.
@@ -541,31 +542,14 @@ impl SpmmKernel for DtcSpmm {
         // field reordering and allocation-free, so a modified clone of a
         // preset never aliases the preset's cached traces.
         let key = (n, device.fingerprint(), record_b_addrs);
-        let fh = trace_front_hash(&key);
-        {
-            let mut cache = self.trace_cache.lock().unwrap();
-            if let Some(hit) = cache.front.get(fh, &key) {
-                crate::telemetry::trace_cache_hits().incr();
-                return hit;
-            }
-            if let Some(hit) = cache.exact.get(&key).cloned() {
-                crate::telemetry::trace_cache_hits().incr();
-                // The refill clone is real work (a trace deep-copy), so pay
-                // it only when the front tier can actually store it.
-                if dtc_par::front_tier_enabled() {
-                    cache.front.insert(fh, key, hit.clone());
-                }
-                return hit;
-            }
+        if let Some(hit) = self.trace_cache.lock().unwrap().get(&key) {
+            crate::telemetry::trace_cache_hits().incr();
+            return hit.clone();
         }
         crate::telemetry::trace_cache_misses().incr();
         let _lower = dtc_telemetry::span("pipeline.trace");
         let trace = self.kernel.as_kernel().trace(n, device, record_b_addrs);
-        let mut cache = self.trace_cache.lock().unwrap();
-        if dtc_par::front_tier_enabled() {
-            cache.front.insert(fh, key, trace.clone());
-        }
-        cache.exact.insert(key, trace.clone());
+        self.trace_cache.lock().unwrap().insert(key, trace.clone());
         trace
     }
 }
@@ -658,7 +642,7 @@ mod tests {
         // Each device fingerprint must own its own cache slot (the global
         // hit/miss counters are shared across tests, so inspect the
         // engine's private cache directly).
-        assert_eq!(engine.trace_cache.lock().unwrap().exact.len(), 2);
+        assert_eq!(engine.trace_cache.lock().unwrap().len(), 2);
         // And the cached entries really are distinct simulations.
         let t_preset = engine.simulate(64, &preset).time_ms;
         let t_tweaked = engine.simulate(64, &tweaked).time_ms;
@@ -757,6 +741,44 @@ mod tests {
         assert!(matches!(err, DtcError::Format(FormatError::IndexOutOfBounds { .. })));
         assert_eq!(*engine.key(), key_before);
         assert_eq!(*engine.metcf(), metcf_before);
+        // The failed first delta ran while the cache still shared the
+        // engine's ME-TCF: the entry stays resident and still shared.
+        let entry = crate::cache::metcf_for(&a).unwrap();
+        assert!(std::ptr::eq(engine.metcf(), &*entry.metcf), "engine must still share the entry");
+        assert_eq!(crate::cache::invalidate_conversion(&key_before), 1);
+    }
+
+    #[test]
+    fn built_engine_shares_the_cached_metcf() {
+        // One resident copy: the engine's ME-TCF is the cache entry's
+        // allocation, not a clone of it.
+        let a = uniform(176, 176, 1100, 216);
+        let engine = DtcSpmm::new(&a);
+        let entry = crate::cache::metcf_for(&a).unwrap();
+        assert!(std::ptr::eq(engine.metcf(), &*entry.metcf));
+    }
+
+    #[test]
+    fn second_apply_delta_patches_in_place() {
+        // The first edit copies away from the shared cache entry (and
+        // purges it); from then on the engine is the sole owner and every
+        // later edit patches the resident matrix at the same address.
+        let a = uniform(192, 192, 1300, 217);
+        let mut engine = DtcSpmm::new(&a);
+        let mut first = MatrixDelta::new();
+        first.insert(2, 9, 1.5);
+        engine.apply_delta(&first, &DeltaPolicy::default()).unwrap();
+        let resident: *const MeTcfMatrix = engine.metcf();
+        // Move the engine between the edits, as a pool would: the address
+        // tracks the one heap-resident matrix, not the engine value.
+        let mut engine = Box::new(engine);
+        let mut second = MatrixDelta::new();
+        second.insert(40, 100, -2.0);
+        second.delete(2, 9);
+        engine.apply_delta(&second, &DeltaPolicy::default()).unwrap();
+        assert!(std::ptr::eq(engine.metcf(), resident), "second delta must patch in place");
+        let edited = second.apply_to_csr(&first.apply_to_csr(&a).unwrap()).unwrap();
+        assert_eq!(*engine.metcf(), MeTcfMatrix::from_csr(&edited));
     }
 
     #[test]
@@ -788,14 +810,14 @@ mod tests {
         let device = Device::rtx4090();
         let mut engine = DtcSpmm::new(&a);
         let _warm = engine.trace(32, &device, false);
-        assert_eq!(engine.trace_cache.lock().unwrap().exact.len(), 1);
+        assert_eq!(engine.trace_cache.lock().unwrap().len(), 1);
         let mut delta = MatrixDelta::new();
         for c in 0..64 {
             delta.insert(3, c * 4, 1.0);
         }
         engine.apply_delta(&delta, &DeltaPolicy::default()).unwrap();
         assert_eq!(
-            engine.trace_cache.lock().unwrap().exact.len(),
+            engine.trace_cache.lock().unwrap().len(),
             0,
             "pre-edit traces must not survive the delta"
         );

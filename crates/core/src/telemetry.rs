@@ -1,4 +1,4 @@
-//! Cached handles to dtc-core's entries in the process-wide
+//! Handles to dtc-core's entries in the process-wide
 //! [`dtc_telemetry`] registry.
 //!
 //! Counter names are part of the crate's observable surface (tests and the
@@ -8,7 +8,6 @@
 //! |---|---|
 //! | `core.pipeline.builds` | engines assembled via [`crate::DtcSpmmBuilder::build`] |
 //! | `core.cache.conversion.hits` / `.misses` | process-wide ME-TCF conversion cache |
-//! | `core.cache.conversion.collisions` | primary-key collisions caught by hit verification |
 //! | `core.cache.conversion.invalidations` | conversion entries purged by key after a delta update |
 //! | `core.cache.trace.hits` / `.misses` | per-engine memoized kernel traces |
 //! | `core.cache.trace.invalidations` | per-engine trace caches dropped wholesale by a delta update |
@@ -16,68 +15,50 @@
 //! | `core.delta.reselects` | delta applies whose stat drift re-ran the Selector |
 
 use dtc_telemetry::Counter;
-use std::sync::OnceLock;
 
-macro_rules! cached_counter {
-    ($(#[$doc:meta])* $fn_name:ident, $metric:literal) => {
-        $(#[$doc])*
-        pub(crate) fn $fn_name() -> &'static Counter {
-            static HANDLE: OnceLock<&'static Counter> = OnceLock::new();
-            HANDLE.get_or_init(|| dtc_telemetry::counter($metric))
-        }
-    };
+/// Engines assembled through the builder.
+pub(crate) fn pipeline_builds() -> &'static Counter {
+    dtc_telemetry::metric!(counter, "core.pipeline.builds")
 }
 
-cached_counter!(
-    /// Engines assembled through the builder.
-    pipeline_builds,
-    "core.pipeline.builds"
-);
-cached_counter!(
-    /// ME-TCF conversion cache hits.
-    conversion_cache_hits,
-    "core.cache.conversion.hits"
-);
-cached_counter!(
-    /// ME-TCF conversion cache misses (each one paid a conversion).
-    conversion_cache_misses,
-    "core.cache.conversion.misses"
-);
-cached_counter!(
-    /// Primary-key collisions detected (and survived) by the ME-TCF
-    /// conversion cache: a 64-bit hash matched but the key material did not.
-    conversion_cache_collisions,
-    "core.cache.conversion.collisions"
-);
-cached_counter!(
-    /// Per-engine trace-cache hits (a `simulate` that re-lowered nothing).
-    trace_cache_hits,
-    "core.cache.trace.hits"
-);
-cached_counter!(
-    /// Per-engine trace-cache misses (kernel lowered once per key).
-    trace_cache_misses,
-    "core.cache.trace.misses"
-);
-cached_counter!(
-    /// Conversion-cache entries purged by key ([`crate::cache::invalidate_conversion`]).
-    conversion_cache_invalidations,
-    "core.cache.conversion.invalidations"
-);
-cached_counter!(
-    /// Per-engine trace caches dropped wholesale after an in-place delta
-    /// (the trace key carries no matrix identity, so every entry is stale).
-    trace_cache_invalidations,
-    "core.cache.trace.invalidations"
-);
-cached_counter!(
-    /// In-place delta patches applied through [`crate::DtcSpmm::apply_delta`].
-    delta_applies,
-    "core.delta.applies"
-);
-cached_counter!(
-    /// Delta applies whose row-length-stat drift crossed the policy
-    /// threshold and re-ran the simulation-based Selector.
-    delta_reselects,
-    "core.delta.reselects"
-);
+/// ME-TCF conversion cache hits.
+pub(crate) fn conversion_cache_hits() -> &'static Counter {
+    dtc_telemetry::metric!(counter, "core.cache.conversion.hits")
+}
+
+/// ME-TCF conversion cache misses (each one paid a conversion).
+pub(crate) fn conversion_cache_misses() -> &'static Counter {
+    dtc_telemetry::metric!(counter, "core.cache.conversion.misses")
+}
+
+/// Per-engine trace-cache hits (a `simulate` that re-lowered nothing).
+pub(crate) fn trace_cache_hits() -> &'static Counter {
+    dtc_telemetry::metric!(counter, "core.cache.trace.hits")
+}
+
+/// Per-engine trace-cache misses (kernel lowered once per key).
+pub(crate) fn trace_cache_misses() -> &'static Counter {
+    dtc_telemetry::metric!(counter, "core.cache.trace.misses")
+}
+
+/// Conversion-cache entries purged by key ([`crate::cache::invalidate_conversion`]).
+pub(crate) fn conversion_cache_invalidations() -> &'static Counter {
+    dtc_telemetry::metric!(counter, "core.cache.conversion.invalidations")
+}
+
+/// Per-engine trace caches dropped wholesale after an in-place delta
+/// (the trace key carries no matrix identity, so every entry is stale).
+pub(crate) fn trace_cache_invalidations() -> &'static Counter {
+    dtc_telemetry::metric!(counter, "core.cache.trace.invalidations")
+}
+
+/// In-place delta patches applied through [`crate::DtcSpmm::apply_delta`].
+pub(crate) fn delta_applies() -> &'static Counter {
+    dtc_telemetry::metric!(counter, "core.delta.applies")
+}
+
+/// Delta applies whose row-length-stat drift crossed the policy
+/// threshold and re-ran the simulation-based Selector.
+pub(crate) fn delta_reselects() -> &'static Counter {
+    dtc_telemetry::metric!(counter, "core.delta.reselects")
+}

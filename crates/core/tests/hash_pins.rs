@@ -3,7 +3,6 @@
 //! cached conversions / pooled engines keyed before an upgrade would all
 //! miss after it.
 
-use dtc_core::cache::matrix_key;
 use dtc_core::{EngineConfig, KeyMaterial};
 use dtc_formats::CsrMatrix;
 use dtc_sim::Device;
@@ -21,7 +20,6 @@ fn fixed_matrix() -> CsrMatrix {
 fn persisted_key_digests_are_pinned() {
     // Golden values captured from the pre-dedup per-crate implementations.
     let a = fixed_matrix();
-    assert_eq!(matrix_key(&a), 0x5ae3_05a8_b3bb_16cb);
     assert_eq!(KeyMaterial::of(&a).fingerprint(), 0xeec5_16a6_bed0_2edc);
     assert_eq!(EngineConfig::default().fingerprint(), 0xbda8_4a7a_db2d_840a);
     assert_eq!(Device::rtx4090().fingerprint(), 0x9d11_9efe_98a4_e684);
@@ -38,7 +36,6 @@ fn fingerprints_separate_nearby_inputs() {
         &[(0, 1, 1.0), (0, 4, -2.5), (1, 0, 0.5), (2, 2, 3.25), (3, 3, -0.25)],
     )
     .expect("valid triplets");
-    assert_ne!(matrix_key(&a), matrix_key(&bumped));
     assert_ne!(KeyMaterial::of(&a).fingerprint(), KeyMaterial::of(&bumped).fingerprint());
     assert_ne!(Device::rtx4090().fingerprint(), Device::rtx3090().fingerprint());
 }

@@ -59,16 +59,12 @@ pub use runner::{run_case, CaseOutcome, Failure, FailureKind};
 pub use shrink::{fixture_code, shrink_case};
 
 use dtc_sim::Device;
-use std::sync::OnceLock;
 
 /// Bumps the process-wide fuzz telemetry counters.
 fn fuzz_telemetry(run: u64, failed: u64, shrunk: u64) {
-    static RUN: OnceLock<&'static dtc_telemetry::Counter> = OnceLock::new();
-    static FAILED: OnceLock<&'static dtc_telemetry::Counter> = OnceLock::new();
-    static SHRUNK: OnceLock<&'static dtc_telemetry::Counter> = OnceLock::new();
-    RUN.get_or_init(|| dtc_telemetry::counter("fuzz.cases.run")).add(run);
-    FAILED.get_or_init(|| dtc_telemetry::counter("fuzz.cases.failed")).add(failed);
-    SHRUNK.get_or_init(|| dtc_telemetry::counter("fuzz.cases.shrunk")).add(shrunk);
+    dtc_telemetry::metric!(counter, "fuzz.cases.run").add(run);
+    dtc_telemetry::metric!(counter, "fuzz.cases.failed").add(failed);
+    dtc_telemetry::metric!(counter, "fuzz.cases.shrunk").add(shrunk);
 }
 
 /// Configuration of one differential sweep.
@@ -115,9 +111,15 @@ pub fn run_sweep(config: &SweepConfig) -> FuzzReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    /// The sweep tests share the process-wide `fuzz.cases.*` counters, and
+    /// cargo runs tests of one binary concurrently: they take turns.
+    static SWEEPS: Mutex<()> = Mutex::new(());
 
     #[test]
     fn sweep_is_deterministic() {
+        let _turn = SWEEPS.lock().unwrap();
         let config =
             SweepConfig { master_seed: 7, num_cases: 12, device: Device::rtx4090(), shrink: true };
         let a = run_sweep(&config).to_json();
@@ -127,6 +129,7 @@ mod tests {
 
     #[test]
     fn telemetry_counters_accumulate() {
+        let _turn = SWEEPS.lock().unwrap();
         let before = dtc_telemetry::snapshot();
         let config =
             SweepConfig { master_seed: 11, num_cases: 2, device: Device::rtx4090(), shrink: false };

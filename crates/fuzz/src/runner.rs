@@ -14,10 +14,10 @@
 //! 3. **Pipeline** — the end-to-end `DtcSpmm` engine with TCA reordering
 //!    on and off (exercising the conversion cache and the permutation
 //!    undo) must also land inside the envelope.
-//! 4. **Cache modes** — the two-tier conversion cache (lossy verified
-//!    front + exact backing store) against exact-only mode, at 1 and 4
-//!    worker threads, interleaving a near-duplicate variant between
-//!    lookups so front-slot collisions are exercised, not just possible.
+//! 4. **Cache lookups** — the conversion cache against an uncached
+//!    `convert_to_metcf_parallel` of the same matrix, at 1 and 4 worker
+//!    threads, interleaving a one-bit near-duplicate between a cold and a
+//!    warm lookup so a key that confused the two would be caught.
 //! 5. **Delta updates** — a seed-derived edit script (inserts, updates,
 //!    deletes, deletes of absent coordinates) is applied in place via
 //!    `MeTcfMatrix::apply_delta` and checked bitwise against a full
@@ -58,8 +58,8 @@ pub enum FailureKind {
     ConversionDiverged,
     /// `MeTcfMatrix::to_csr` does not reproduce the operand.
     RoundTripBroken,
-    /// The two-tier conversion cache returned something other than the
-    /// exact-only conversion.
+    /// The conversion cache returned something other than an uncached
+    /// conversion of the same matrix.
     CacheDiverged,
     /// In-place delta patching diverged from a full rebuild over the
     /// edited matrix.
@@ -261,8 +261,8 @@ pub fn run_case(case: &FuzzCase, device: &Device) -> CaseOutcome {
         }
     }
 
-    // Axis 4: two-tier conversion cache vs exact-only mode.
-    check_cache_modes(a, &mut out);
+    // Axis 4: conversion-cache lookups vs uncached conversion.
+    check_cache_lookups(a, &mut out);
 
     // Axis 5: in-place delta patching vs full rebuild.
     check_delta(case, &mut out);
@@ -357,15 +357,14 @@ fn check_delta(case: &FuzzCase, out: &mut CaseOutcome) {
     }
 }
 
-/// The cache-mode differential: the lossy front tier must be a pure
-/// accelerator. For each thread count, the case matrix is converted in
-/// exact-only mode and then through the two-tier cache — cold, again after
-/// a near-duplicate (one value bit flipped) has been pushed through the
-/// same front slot, and the near-duplicate itself — and every result must
-/// be bitwise identical to its exact-only conversion.
-fn check_cache_modes(a: &CsrMatrix, out: &mut CaseOutcome) {
+/// The cache-lookup differential: a cached conversion must equal an
+/// uncached one. For each thread count the cache is cleared, then three
+/// lookups — the case matrix cold, a near-duplicate (one value bit
+/// flipped), and the case matrix again warm — are each checked bitwise
+/// against a direct `convert_to_metcf_parallel` of the matrix looked up.
+fn check_cache_lookups(a: &CsrMatrix, out: &mut CaseOutcome) {
     // A one-bit variant shares shape and structure with `a`, so its key
-    // material collides with `a`'s everywhere except the value digest.
+    // matches `a`'s everywhere except the value digest.
     let variant = (a.nnz() > 0).then(|| {
         let mut triplets: Vec<(usize, usize, f32)> = a.iter().collect();
         let (r, c, v) = triplets[0];
@@ -373,46 +372,42 @@ fn check_cache_modes(a: &CsrMatrix, out: &mut CaseOutcome) {
         CsrMatrix::from_triplets(a.rows(), a.cols(), &triplets).expect("in-bounds triplets")
     });
     for threads in [1usize, 4] {
-        let label = format!("cache/two-tier-t{threads}");
+        let label = format!("cache/lookup-t{threads}");
         let result = guarded(|| {
             // Fuzz cases are far inside the u32 offset bounds, so a
             // conversion error here is a panic-worthy harness bug (and is
             // caught by `guarded` as a reportable failure either way).
-            let conv = |m: &CsrMatrix| metcf_for(m).expect("fuzz case within u32 bounds");
             dtc_par::set_threads(Some(threads));
-            dtc_par::set_front_tier_enabled(false);
+            let lookup = |m: &CsrMatrix| metcf_for(m).expect("fuzz case within u32 bounds");
+            let direct = |m: &CsrMatrix| {
+                let metcf = convert_to_metcf_parallel(m, threads).expect("within u32 bounds");
+                (metcf, distinct_col_count(m))
+            };
             clear_conversion_cache();
-            let exact_a = conv(a);
-            let exact_v = variant.as_ref().map(&conv);
-            dtc_par::set_front_tier_enabled(true);
-            clear_conversion_cache();
-            let cold_a = conv(a);
-            let tier_v = variant.as_ref().map(&conv);
-            let warm_a = conv(a);
-            (exact_a, exact_v, cold_a, tier_v, warm_a)
+            let cold = lookup(a);
+            let near_dup = variant.as_ref().map(|v| (lookup(v), direct(v)));
+            let warm = lookup(a);
+            (direct(a), cold, near_dup, warm)
         });
-        dtc_par::set_front_tier_enabled(true);
         dtc_par::set_threads(None);
         match result {
             Err(msg) => out.push(&label, FailureKind::Panic, msg),
-            Ok((exact_a, exact_v, cold_a, tier_v, warm_a)) => {
-                let same = |x: &CachedConversion, y: &CachedConversion| {
-                    x.distinct_cols == y.distinct_cols && metcf_bitwise_eq(&x.metcf, &y.metcf)
+            Ok((want, cold, near_dup, warm)) => {
+                let same = |got: &CachedConversion, (metcf, distinct): &(MeTcfMatrix, usize)| {
+                    got.distinct_cols == *distinct && metcf_bitwise_eq(&got.metcf, metcf)
                 };
-                if !same(&cold_a, &exact_a) {
+                if !same(&cold, &want) {
                     out.push(&label, FailureKind::CacheDiverged, "cold lookup diverges".into());
                 }
-                if !same(&warm_a, &exact_a) {
+                if !same(&warm, &want) {
                     out.push(&label, FailureKind::CacheDiverged, "warm lookup diverges".into());
                 }
-                if let (Some(ev), Some(tv)) = (&exact_v, &tier_v) {
-                    if !same(tv, ev) {
-                        out.push(
-                            &label,
-                            FailureKind::CacheDiverged,
-                            "near-duplicate cross-served a stale conversion".into(),
-                        );
-                    }
+                if near_dup.is_some_and(|(got, want)| !same(&got, &want)) {
+                    out.push(
+                        &label,
+                        FailureKind::CacheDiverged,
+                        "near-duplicate cross-served a stale conversion".into(),
+                    );
                 }
             }
         }

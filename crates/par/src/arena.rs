@@ -44,14 +44,6 @@ pub struct ScratchArena {
 static TOTAL_RETAINED: AtomicU64 = AtomicU64::new(0);
 static PEAK_RETAINED: AtomicU64 = AtomicU64::new(0);
 
-fn telemetry_handles() -> (&'static dtc_telemetry::Counter, &'static dtc_telemetry::Gauge) {
-    static HANDLES: OnceLock<(&'static dtc_telemetry::Counter, &'static dtc_telemetry::Gauge)> =
-        OnceLock::new();
-    *HANDLES.get_or_init(|| {
-        (dtc_telemetry::counter("par.arena.resets"), dtc_telemetry::gauge("par.arena.bytes_peak"))
-    })
-}
-
 macro_rules! scalar_pool {
     ($take:ident, $recycle:ident, $field:ident, $ty:ty) => {
         /// Leases a cleared buffer from the pool (capacity retained).
@@ -121,7 +113,7 @@ impl ScratchArena {
         self.retained_bytes += bytes;
         let total = TOTAL_RETAINED.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
         let peak = PEAK_RETAINED.fetch_max(total, Ordering::Relaxed).max(total);
-        telemetry_handles().1.set(peak as f64);
+        dtc_telemetry::metric!(gauge, "par.arena.bytes_peak").set(peak as f64);
     }
 
     fn note_released(&mut self, bytes: usize) {
@@ -158,8 +150,7 @@ fn pool() -> &'static [Mutex<ScratchArena>; POOL_SLOTS] {
 /// under contention and falling back to a local arena if every slot is
 /// busy (never blocks, so nested parallel sections cannot deadlock).
 pub(crate) fn with_worker_arena<R>(worker: usize, f: impl FnOnce(&mut ScratchArena) -> R) -> R {
-    let (resets, _) = telemetry_handles();
-    resets.incr();
+    dtc_telemetry::metric!(counter, "par.arena.resets").incr();
     let pool = pool();
     let start = worker % POOL_SLOTS;
     for k in 0..POOL_SLOTS {

@@ -1,31 +1,28 @@
-//! The lossy locality-preferential front tier shared by every hot lookup
-//! path in the workspace.
+//! The lossy, verified front tier: a direct-mapped accelerator in front
+//! of an exact keyed map.
 //!
-//! Every hot keyed lookup in the stack — the ME-TCF conversion cache, the
-//! per-engine trace cache, the duration-class interning table, the serving
-//! layer's engine pool — is an exact bucketed map: hash, probe, walk an
-//! equality chain. Correct, but branchy, and at the 99%+ hit rates the
-//! serving layer measures, almost every lookup pays the full chain for a
-//! key it saw moments ago. [`FrontTier`] is the fix: a fixed-capacity,
-//! power-of-two, direct-mapped, overwrite-on-collision table — no probing,
-//! no buckets, no growth — sitting in front of the exact store.
+//! [`FrontTier`] is a fixed-capacity, power-of-two, direct-mapped,
+//! overwrite-on-collision table — no probing, no buckets, no growth. It
+//! earns its place only where a hit skips real work: the `dtc-sim`
+//! duration-class interner, whose exact key is a byte-granular fold over
+//! every work field, measures 2–4.5x faster lookups with it. Where the
+//! exact lookup is already one hash plus one probe (the conversion cache,
+//! the trace cache, the serve pool), a front tier measures ~1x, so those
+//! stores are plain `HashMap`s on their full identity instead.
 //!
 //! The invariant that makes lossy safe: **every front-tier hit is verified
-//! against the stored full key material** (`K: PartialEq`, where `K` is the
-//! complete identity — `KeyMaterial`, a full `PoolKey`, the bitwise work
-//! fields of a duration class — never just a hash). A slot holding a
-//! different key is a miss, counted as a `verify_reject`, and the lookup
-//! falls through to the exact tier, which refills the slot. Losing an entry
-//! to an overwrite therefore costs one exact-tier walk, never a wrong
-//! answer: the front tier is a pure accelerator, and results are bitwise
-//! identical with it on, off, or thrashing.
+//! against the stored full key** (`K: PartialEq`, the complete identity,
+//! never just a hash). A slot holding a different key is a miss, counted as
+//! a `verify_reject`, and the lookup falls through to the exact store,
+//! which refills the slot. Losing an entry to an overwrite therefore costs
+//! one exact lookup, never a wrong answer: results are bitwise identical
+//! with the tier on, off, or thrashing.
 //!
-//! Both tiers are instrumented in the process-wide `dtc-telemetry`
-//! registry under `cache.<name>.{l1_hits,l1_misses,l1_evictions,
-//! verify_rejects}`, plus a sampled `cache.<name>.ns_per_lookup` gauge
-//! (every 512th probe is timed). [`set_front_tier_enabled`] is the
-//! process-wide kill switch benchmarks and differential tests use to
-//! compare against the exact-only path.
+//! Each tier is instrumented in the process-wide `dtc-telemetry` registry
+//! under `cache.<name>.{l1_hits,l1_misses,l1_evictions,verify_rejects}`,
+//! plus a sampled `cache.<name>.ns_per_lookup` gauge (every 512th probe is
+//! timed). [`set_front_tier_enabled`] is the process-wide switch the
+//! interner's exact-only benchmark reference uses.
 
 use dtc_telemetry::{Counter, Gauge};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -44,26 +41,8 @@ pub fn set_front_tier_enabled(on: bool) {
 
 /// Whether front tiers are currently enabled.
 #[inline]
-pub fn front_tier_enabled() -> bool {
+fn front_tier_enabled() -> bool {
     FRONT_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Slot budget used by [`FrontTier::l3_sized`]: tables are sized to sit
-/// comfortably inside one slice of a desktop L3 (a few MiB) — large enough
-/// for every steady-state working set we serve, small enough that a probe
-/// stays cache-resident under churn.
-pub const DEFAULT_BUDGET_BYTES: usize = 1 << 20;
-
-/// Largest power-of-two slot count whose table fits `budget_bytes`
-/// (at least 1).
-pub fn capacity_for_budget<K, V>(budget_bytes: usize) -> usize {
-    let slot = std::mem::size_of::<Option<(K, V)>>().max(1);
-    let n = (budget_bytes / slot).max(1);
-    if n.is_power_of_two() {
-        n
-    } else {
-        (n.next_power_of_two()) >> 1
-    }
 }
 
 /// The per-tier telemetry handles, registered once per cache name (all
@@ -95,10 +74,9 @@ const SAMPLE_MASK: u64 = 511;
 
 /// The lossy front tier: direct-mapped, overwrite-on-collision, verified.
 ///
-/// Callers wrap it in whatever synchronization the exact tier already has
-/// (a `Mutex` for the shared caches, `&mut self` for the interning table);
-/// the tier itself is plain data, so the lock that protects the exact
-/// store protects the front slots too and the two can never disagree.
+/// The tier is plain data owned next to its exact store (`&mut self` on
+/// the interning table), so whatever protects the store protects the
+/// front slots too and the two can never disagree.
 pub struct FrontTier<K, V> {
     slots: Box<[Option<(K, V)>]>,
     mask: u64,
@@ -141,11 +119,6 @@ impl<K: PartialEq, V: Clone> FrontTier<K, V> {
         }
     }
 
-    /// Creates a tier sized by [`DEFAULT_BUDGET_BYTES`] for this `(K, V)`.
-    pub fn l3_sized(name: &str) -> Self {
-        Self::new(name, capacity_for_budget::<K, V>(DEFAULT_BUDGET_BYTES))
-    }
-
     /// Slot count (a power of two).
     pub fn capacity(&self) -> usize {
         self.slots.len()
@@ -164,7 +137,7 @@ impl<K: PartialEq, V: Clone> FrontTier<K, V> {
     /// the stored **full key** to equal `key`. An occupied slot holding a
     /// different key counts a `verify_reject` (the crafted-collision /
     /// overwrite case); an empty slot is a plain miss. Either way the
-    /// caller falls through to the exact tier.
+    /// caller falls through to the exact store.
     pub fn get(&mut self, hash: u64, key: &K) -> Option<V> {
         if !front_tier_enabled() {
             return None;
@@ -208,24 +181,6 @@ impl<K: PartialEq, V: Clone> FrontTier<K, V> {
             }
         }
         *slot = Some((key, value));
-    }
-
-    /// Drops the entry for `key` if it is the one resident in `hash`'s
-    /// slot. Exact-tier evictions call this so the front tier never serves
-    /// an entry the backing store has dropped (correct either way, but the
-    /// backing store's eviction policy would be toothless otherwise).
-    pub fn invalidate(&mut self, hash: u64, key: &K) {
-        let slot = &mut self.slots[self.slot_of(hash)];
-        if matches!(slot, Some((k, _)) if k == key) {
-            *slot = None;
-        }
-    }
-
-    /// Empties every slot (counters keep running).
-    pub fn clear(&mut self) {
-        for slot in self.slots.iter_mut() {
-            *slot = None;
-        }
     }
 }
 
@@ -334,23 +289,10 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_only_drops_the_matching_key() {
-        let _g = SWITCH.lock().unwrap();
-        let mut t: FrontTier<u64, u64> = FrontTier::new("test-invalidate", 8);
-        t.insert(5, 50, 500);
-        t.invalidate(5, &51); // wrong key: no-op
-        assert_eq!(t.get(5, &50), Some(500));
-        t.invalidate(5, &50);
-        assert_eq!(t.get(5, &50), None);
-    }
-
-    #[test]
-    fn capacity_rounds_to_power_of_two_and_budget_fits() {
+    fn capacity_rounds_to_power_of_two() {
         let t: FrontTier<u64, u64> = FrontTier::new("test-cap", 100);
         assert_eq!(t.capacity(), 128);
-        let cap = capacity_for_budget::<u64, u64>(1 << 12);
-        assert!(cap.is_power_of_two());
-        assert!(cap * std::mem::size_of::<Option<(u64, u64)>>() <= 1 << 12);
-        assert_eq!(capacity_for_budget::<[u64; 1024], u64>(8), 1, "never zero slots");
+        let t: FrontTier<u64, u64> = FrontTier::new("test-cap", 0);
+        assert_eq!(t.capacity(), 1, "never zero slots");
     }
 }

@@ -55,7 +55,7 @@ pub mod hash;
 pub mod replay;
 
 pub use arena::{with_arena, ScratchArena};
-pub use cache::{front_tier_enabled, set_front_tier_enabled, FrontTier};
+pub use cache::{set_front_tier_enabled, FrontTier};
 pub use replay::{replay_assignments, Replay};
 
 use std::cell::Cell;
@@ -408,23 +408,6 @@ pub fn reset_par_stats() {
     PAR_INVOCATIONS.store(0, Ordering::Relaxed);
 }
 
-fn shard_telemetry(
-) -> (&'static dtc_telemetry::Counter, &'static dtc_telemetry::Counter, &'static dtc_telemetry::Gauge)
-{
-    static HANDLES: OnceLock<(
-        &'static dtc_telemetry::Counter,
-        &'static dtc_telemetry::Counter,
-        &'static dtc_telemetry::Gauge,
-    )> = OnceLock::new();
-    *HANDLES.get_or_init(|| {
-        (
-            dtc_telemetry::counter("par.shard.tasks"),
-            dtc_telemetry::counter("par.shard.steals"),
-            dtc_telemetry::gauge("par.shard.max_imbalance"),
-        )
-    })
-}
-
 fn record_invocation(
     wall_ns: u64,
     busy_sum: u64,
@@ -438,14 +421,14 @@ fn record_invocation(
     PAR_CRIT_NS
         .fetch_add(wall_ns.saturating_sub(busy_sum.saturating_sub(busy_max)), Ordering::Relaxed);
     PAR_INVOCATIONS.fetch_add(1, Ordering::Relaxed);
-    let (tasks_c, steals_c, imbalance_g) = shard_telemetry();
-    tasks_c.add(tasks);
+    dtc_telemetry::metric!(counter, "par.shard.tasks").add(tasks);
     if steals > 0 {
-        steals_c.add(steals);
+        dtc_telemetry::metric!(counter, "par.shard.steals").add(steals);
     }
     if workers > 1 && busy_sum > 0 {
         // busiest worker relative to the mean: 1.0 = perfectly balanced.
-        imbalance_g.set(busy_max as f64 * workers as f64 / busy_sum as f64);
+        dtc_telemetry::metric!(gauge, "par.shard.max_imbalance")
+            .set(busy_max as f64 * workers as f64 / busy_sum as f64);
     }
 }
 

@@ -42,7 +42,6 @@ use dtc_par::{replay_assignments, ScratchArena, ShardPlan};
 use dtc_telemetry::json::Json;
 use dtc_verify::sched::SchedLocation;
 use dtc_verify::{verify_plan, SchedCase, SchedDiagnostic, SchedLintId, Severity};
-use std::sync::OnceLock;
 
 /// Options for one [`check_plan`] run.
 pub struct CheckOptions<'a> {
@@ -91,10 +90,8 @@ impl PlanCheck {
 }
 
 fn sched_telemetry(schedules: u64, violations: usize) {
-    static SCHEDULES: OnceLock<&'static dtc_telemetry::Counter> = OnceLock::new();
-    static VIOLATIONS: OnceLock<&'static dtc_telemetry::Counter> = OnceLock::new();
-    SCHEDULES.get_or_init(|| dtc_telemetry::counter("sched.schedules.explored")).add(schedules);
-    VIOLATIONS.get_or_init(|| dtc_telemetry::counter("sched.violations")).add(violations as u64);
+    dtc_telemetry::metric!(counter, "sched.schedules.explored").add(schedules);
+    dtc_telemetry::metric!(counter, "sched.violations").add(violations as u64);
 }
 
 /// What the checker observed about one replayed schedule, before

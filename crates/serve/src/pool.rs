@@ -1,15 +1,12 @@
 //! The keyed engine pool: prepared [`SpmmEngine`]s cached across requests.
 //!
 //! Pool identity is the triple the paper's amortization argument needs:
-//! *which matrix* ([`KeyMaterial`], the verified conversion-cache identity
-//! from `dtc-core`), *which configuration*
-//! ([`EngineConfig::fingerprint`] — two tenants asking for the same matrix
-//! under different precisions must not share an engine), and *which
-//! device/engine family*. Entries are bucketed by a single 64-bit primary
-//! hash and **verified by full key equality on every hit** — the same
-//! discipline as the conversion cache, so a crafted primary-hash collision
-//! is detected and both engines coexist instead of one tenant silently
-//! receiving another tenant's engine.
+//! *which matrix* ([`KeyMaterial`], the conversion-cache identity from
+//! `dtc-core`), *which configuration* ([`EngineConfig::fingerprint`] — two
+//! tenants asking for the same matrix under different precisions must not
+//! share an engine), and *which device/engine family*. The store is a
+//! plain `HashMap` on the full [`PoolKey`], so every hit is checked by full
+//! key equality and two keys whose hashes collide simply coexist.
 //!
 //! Concurrency: one prepare per key. Each slot holds an
 //! [`OnceLock`]; concurrent same-key requests all land on the same slot
@@ -25,7 +22,6 @@
 
 use dtc_core::{DtcError, EngineConfig, EngineKind, KeyMaterial, SpmmEngine};
 use dtc_par::hash::fnv1a;
-use dtc_par::FrontTier;
 use dtc_verify::PoolEvent;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -44,10 +40,9 @@ fn pool_event_log() -> &'static Mutex<Vec<PoolEvent>> {
 
 /// Switches pool-event capture on or off (off by default; enabling does
 /// not clear previously captured events). While on, every pool emits
-/// [`PoolEvent`]s at its protocol points — slot insert, engine publish,
-/// slot removal and front-tier invalidation — for
-/// [`dtc_verify::verify_pool_events`] to audit. Used by `schedcheck` and
-/// the protocol tests; the log is process-wide.
+/// [`PoolEvent`]s at its protocol points — slot insert, engine publish
+/// and slot removal — for [`dtc_verify::verify_pool_events`] to audit.
+/// Used by `schedcheck` and the protocol tests; the log is process-wide.
 pub fn set_pool_event_log(on: bool) {
     POOL_EVENT_LOG_ON.store(on, Ordering::Relaxed);
 }
@@ -57,16 +52,14 @@ pub fn drain_pool_events() -> Vec<PoolEvent> {
     std::mem::take(&mut *pool_event_log().lock().unwrap_or_else(std::sync::PoisonError::into_inner))
 }
 
-/// Appends events under ONE log-lock acquisition, so protocol pairs that
-/// the lints require to be adjacent (remove + front-invalidate, emitted
-/// from the same pool critical section) cannot be split by a concurrent
-/// pool's events.
-fn log_pool_events(events: &[PoolEvent]) {
+/// Appends one event for `key`, labelled by its [`PoolKey::primary`]
+/// (computed only while capture is on).
+fn log_pool_event(key: &PoolKey, event: fn(u64) -> PoolEvent) {
     if POOL_EVENT_LOG_ON.load(Ordering::Relaxed) {
         pool_event_log()
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .extend_from_slice(events);
+            .push(event(key.primary()));
     }
 }
 
@@ -94,8 +87,8 @@ impl PoolKey {
         }
     }
 
-    /// The 64-bit primary bucket hash (FNV-1a over all components). A
-    /// primary collision is survivable: buckets verify full key equality.
+    /// A 64-bit digest of all components (FNV-1a): the label pool events
+    /// carry. Not an identity — the pool itself keys on the full `PoolKey`.
     pub fn primary(&self) -> u64 {
         let kind = match self.kind {
             EngineKind::Dtc => 1u64,
@@ -133,10 +126,6 @@ type EngineCell = Arc<OnceLock<Result<Arc<dyn SpmmEngine>, DtcError>>>;
 
 /// One resident entry.
 struct Slot {
-    key: PoolKey,
-    /// The primary bucket hash this slot is filed under (also its front-
-    /// tier slot hash), kept so removal can unfile it without rehashing.
-    primary: u64,
     cell: EngineCell,
     /// Requests served (including the preparing one).
     uses: u64,
@@ -144,18 +133,10 @@ struct Slot {
     last_use: u64,
 }
 
-/// Pool state: a slot arena indexed by stable `usize` handles, the exact
-/// bucket map (primary hash → slot indices, verified by full `PoolKey`
-/// equality), and the lossy front tier (primary hash → slot index, also
-/// verified by full key equality). Everything lives under one `Mutex`, so
-/// the front tier can never disagree with the arena about residency —
-/// every removal invalidates the front slot in the same critical section.
+/// Pool state under one `Mutex`: the resident slots keyed by full
+/// [`PoolKey`], plus the recency clock.
 struct Inner {
-    slots: Vec<Option<Slot>>,
-    free: Vec<usize>,
-    buckets: HashMap<u64, Vec<usize>>,
-    front: FrontTier<PoolKey, usize>,
-    len: usize,
+    slots: HashMap<PoolKey, Slot>,
     tick: u64,
 }
 
@@ -196,24 +177,12 @@ impl std::fmt::Debug for EnginePool {
 impl EnginePool {
     /// Creates an empty pool.
     pub fn new(config: PoolConfig) -> Self {
-        EnginePool {
-            config,
-            inner: Mutex::new(Inner {
-                slots: Vec::new(),
-                free: Vec::new(),
-                buckets: HashMap::new(),
-                // At least 64 slots so the front tier is never the
-                // capacity bottleneck for a default-sized pool.
-                front: FrontTier::new("pool", config.capacity.max(64)),
-                len: 0,
-                tick: 0,
-            }),
-        }
+        EnginePool { config, inner: Mutex::new(Inner { slots: HashMap::new(), tick: 0 }) }
     }
 
     /// Resident engine count (including ones still preparing).
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().len
+        self.inner.lock().unwrap().slots.len()
     }
 
     /// Whether the pool is empty.
@@ -235,62 +204,30 @@ impl EnginePool {
         key: PoolKey,
         build: impl FnOnce() -> Result<Box<dyn SpmmEngine>, DtcError>,
     ) -> Result<Fetched, DtcError> {
-        self.fetch(key.primary(), key, build)
-    }
-
-    /// The pool core, keyed explicitly so tests can force primary-hash
-    /// collisions.
-    fn fetch(
-        &self,
-        primary: u64,
-        key: PoolKey,
-        build: impl FnOnce() -> Result<Box<dyn SpmmEngine>, DtcError>,
-    ) -> Result<Fetched, DtcError> {
         let (cell, hit) = {
             let mut inner = self.inner.lock().unwrap();
             let inner = &mut *inner;
             inner.tick += 1;
             let tick = inner.tick;
-            match Self::resident_idx(inner, primary, &key) {
-                Some(idx) => {
-                    let slot = inner.slots[idx].as_mut().expect("resident slot");
-                    slot.uses += 1;
-                    slot.last_use = tick;
-                    crate::telemetry::pool_hits().incr();
-                    (Arc::clone(&slot.cell), true)
+            if let Some(slot) = inner.slots.get_mut(&key) {
+                slot.uses += 1;
+                slot.last_use = tick;
+                crate::telemetry::pool_hits().incr();
+                (Arc::clone(&slot.cell), true)
+            } else {
+                if inner.slots.len() >= self.config.capacity {
+                    self.evict_lru(inner)?;
                 }
-                None => {
-                    if inner.len >= self.config.capacity {
-                        self.evict_lru(inner)?;
-                    }
-                    let cell: EngineCell = Arc::new(OnceLock::new());
-                    let slot = Slot {
-                        key: key.clone(),
-                        primary,
-                        cell: Arc::clone(&cell),
-                        uses: 1,
-                        last_use: tick,
-                    };
-                    let idx = match inner.free.pop() {
-                        Some(i) => {
-                            inner.slots[i] = Some(slot);
-                            i
-                        }
-                        None => {
-                            inner.slots.push(Some(slot));
-                            inner.slots.len() - 1
-                        }
-                    };
-                    inner.buckets.entry(primary).or_default().push(idx);
-                    inner.front.insert(primary, key.clone(), idx);
-                    inner.len += 1;
-                    // The protocol invariant the sched lints audit: the slot
-                    // is filed (here, under the pool lock) BEFORE the engine
-                    // build runs, so same-key callers coalesce onto the cell.
-                    log_pool_events(&[PoolEvent::Insert { primary }]);
-                    crate::telemetry::pool_misses().incr();
-                    (cell, false)
-                }
+                let cell: EngineCell = Arc::new(OnceLock::new());
+                inner
+                    .slots
+                    .insert(key.clone(), Slot { cell: Arc::clone(&cell), uses: 1, last_use: tick });
+                // The protocol invariant the sched lints audit: the slot
+                // is filed (here, under the pool lock) BEFORE the engine
+                // build runs, so same-key callers coalesce onto the cell.
+                log_pool_event(&key, |primary| PoolEvent::Insert { primary });
+                crate::telemetry::pool_misses().incr();
+                (cell, false)
             }
         };
         // Prepare outside the pool lock: other keys must not wait on this
@@ -300,7 +237,7 @@ impl EnginePool {
                 let _span = dtc_telemetry::span("serve.prepare");
                 let built = build().map(Arc::from);
                 if built.is_ok() {
-                    log_pool_events(&[PoolEvent::Publish { primary }]);
+                    log_pool_event(&key, |primary| PoolEvent::Publish { primary });
                 }
                 built
             })
@@ -308,44 +245,15 @@ impl EnginePool {
         match result {
             Ok(engine) => Ok(Fetched { engine, hit }),
             Err(e) => {
-                // Drop the failed slot so the next request can retry.
+                // Drop the failed slot so the next request can retry — but
+                // only if it is still this cell (a later prepare may own it).
                 let mut inner = self.inner.lock().unwrap();
-                let inner = &mut *inner;
-                if let Some(idx) = (0..inner.slots.len()).find(|&i| {
-                    inner.slots[i]
-                        .as_ref()
-                        .is_some_and(|s| s.key == key && Arc::ptr_eq(&s.cell, &cell))
-                }) {
-                    Self::remove_slot(inner, idx);
+                if inner.slots.get(&key).is_some_and(|s| Arc::ptr_eq(&s.cell, &cell)) {
+                    Self::remove_slot(&mut inner, &key);
                 }
                 Err(e)
             }
         }
-    }
-
-    /// Two-tier resident lookup: a lossy front probe on the primary hash
-    /// (verified by full [`PoolKey`] equality), falling through to the
-    /// exact bucket walk, which refills the front slot on a hit.
-    fn resident_idx(inner: &mut Inner, primary: u64, key: &PoolKey) -> Option<usize> {
-        if let Some(idx) = inner.front.get(primary, key) {
-            // Arena indices are reused, so re-verify against the slot
-            // itself. Removal invalidates the front entry in the same
-            // critical section, so this only fires if the global switch
-            // was off at removal time — correctness must not depend on
-            // the switch's history either way.
-            if inner.slots.get(idx).and_then(Option::as_ref).is_some_and(|s| s.key == *key) {
-                return Some(idx);
-            }
-            inner.front.invalidate(primary, key);
-        }
-        let idx = inner
-            .buckets
-            .get(&primary)?
-            .iter()
-            .copied()
-            .find(|&i| inner.slots[i].as_ref().is_some_and(|s| s.key == *key))?;
-        inner.front.insert(primary, key.clone(), idx);
-        Some(idx)
     }
 
     /// Drops every resident engine prepared from the matrix identified by
@@ -354,19 +262,14 @@ impl EnginePool {
     ///
     /// This is the pool's half of the delta-update invalidation contract:
     /// after a tenant edits a matrix in place, every pooled engine keyed by
-    /// the pre-edit [`KeyMaterial`] is stale, and the front tier is purged
-    /// **by key** (inside [`remove_slot`](Self::remove_slot)'s critical
-    /// section) rather than by slot index, so a colliding resident entry
-    /// for a different key is left untouched. Entries still inside their
+    /// the pre-edit [`KeyMaterial`] is stale. Entries still inside their
     /// warmup pin are removed too — staleness overrides amortization.
     pub fn invalidate_material(&self, material: &KeyMaterial) -> usize {
         let mut inner = self.inner.lock().unwrap();
-        let inner = &mut *inner;
-        let stale: Vec<usize> = (0..inner.slots.len())
-            .filter(|&i| inner.slots[i].as_ref().is_some_and(|s| s.key.material == *material))
-            .collect();
-        for &idx in &stale {
-            Self::remove_slot(inner, idx);
+        let stale: Vec<PoolKey> =
+            inner.slots.keys().filter(|k| k.material == *material).cloned().collect();
+        for key in &stale {
+            Self::remove_slot(&mut inner, key);
         }
         if !stale.is_empty() {
             crate::telemetry::pool_invalidations().add(stale.len() as u64);
@@ -374,46 +277,26 @@ impl EnginePool {
         stale.len()
     }
 
-    /// Unfiles a slot from the arena, its bucket, and the front tier.
-    fn remove_slot(inner: &mut Inner, idx: usize) {
-        let slot = inner.slots[idx].take().expect("removing a resident slot");
-        if let Some(bucket) = inner.buckets.get_mut(&slot.primary) {
-            bucket.retain(|&i| i != idx);
-            if bucket.is_empty() {
-                inner.buckets.remove(&slot.primary);
-            }
-        }
-        inner.front.invalidate(slot.primary, &slot.key);
-        // One append: removal and front invalidation happen in this same
-        // pool critical section, and the lint checks they stay adjacent.
-        log_pool_events(&[
-            PoolEvent::Remove { primary: slot.primary },
-            PoolEvent::FrontInvalidate { primary: slot.primary },
-        ]);
-        inner.free.push(idx);
-        inner.len -= 1;
+    /// Removes a resident slot and logs the removal.
+    fn remove_slot(inner: &mut Inner, key: &PoolKey) {
+        inner.slots.remove(key).expect("removing a resident slot");
+        log_pool_event(key, |primary| PoolEvent::Remove { primary });
     }
 
-    /// Evicts the least-recently-used entry whose warmup pin has expired.
+    /// Evicts the least-recently-used entry whose warmup pin has expired
+    /// (recency ticks are unique, so the victim does not depend on the
+    /// map's iteration order).
     fn evict_lru(&self, inner: &mut Inner) -> Result<(), DtcError> {
-        let mut victim: Option<(u64, usize)> = None; // (last_use, idx)
-        for (i, slot) in inner.slots.iter().enumerate() {
-            let Some(slot) = slot else { continue };
-            if slot.uses < self.config.warmup_uses {
-                continue; // still pinned by warmup
-            }
-            if victim.is_none_or(|(lu, _)| slot.last_use < lu) {
-                victim = Some((slot.last_use, i));
-            }
-        }
-        match victim {
-            None => Err(DtcError::PoolExhausted { capacity: self.config.capacity }),
-            Some((_, i)) => {
-                Self::remove_slot(inner, i);
-                crate::telemetry::pool_evictions().incr();
-                Ok(())
-            }
-        }
+        let victim = inner
+            .slots
+            .iter()
+            .filter(|(_, s)| s.uses >= self.config.warmup_uses)
+            .min_by_key(|(_, s)| s.last_use)
+            .map(|(k, _)| k.clone())
+            .ok_or(DtcError::PoolExhausted { capacity: self.config.capacity })?;
+        Self::remove_slot(inner, &victim);
+        crate::telemetry::pool_evictions().incr();
+        Ok(())
     }
 }
 
@@ -462,27 +345,6 @@ mod tests {
     }
 
     #[test]
-    fn crafted_primary_collision_is_served_correctly() {
-        // Two different matrices forced onto the SAME primary bucket: full
-        // key verification must keep them apart — tenant B must never
-        // receive tenant A's engine.
-        let pool = EnginePool::new(PoolConfig::default());
-        let config = EngineConfig::default();
-        let a = uniform(96, 96, 500, 9003);
-        let b = uniform(64, 64, 300, 9004);
-        let forced = 0xC011_1DED_C011_1DEDu64;
-        let ea = pool.fetch(forced, key_of(&a, &config), prepare_dtc(&a, &config)).unwrap();
-        let eb = pool.fetch(forced, key_of(&b, &config), prepare_dtc(&b, &config)).unwrap();
-        assert!(!eb.hit, "collision must be detected, not served");
-        assert_eq!(ea.engine.rows(), 96);
-        assert_eq!(eb.engine.rows(), 64, "B must get its own engine");
-        // Both now hit in the shared bucket.
-        assert!(pool.fetch(forced, key_of(&a, &config), prepare_dtc(&a, &config)).unwrap().hit);
-        assert!(pool.fetch(forced, key_of(&b, &config), prepare_dtc(&b, &config)).unwrap().hit);
-        assert_eq!(pool.len(), 2);
-    }
-
-    #[test]
     fn eviction_respects_warmup_pins() {
         // capacity 2, warmup 2: entries become evictable after 2 uses.
         let pool = EnginePool::new(PoolConfig { capacity: 2, warmup_uses: 2 });
@@ -509,58 +371,11 @@ mod tests {
         assert!(!pool.get_or_prepare(key_of(&a, &config), prepare_dtc(&a, &config)).unwrap().hit);
     }
 
-    /// Serializes the tests that toggle or observe the process-wide front
-    /// switch (cargo runs tests of one binary concurrently).
-    static SWITCH: Mutex<()> = Mutex::new(());
-
-    #[test]
-    fn eviction_invalidates_the_front_tier() {
-        let _g = SWITCH.lock().unwrap();
-        // An evicted engine must be gone from BOTH tiers: a front entry
-        // surviving its slot's eviction would point at a recycled arena
-        // index and could hand one tenant another tenant's engine.
-        let pool = EnginePool::new(PoolConfig { capacity: 2, warmup_uses: 1 });
-        let config = EngineConfig::default();
-        let a = uniform(64, 64, 300, 9101);
-        let b = uniform(64, 64, 300, 9102);
-        let c = uniform(48, 48, 200, 9103);
-        pool.get_or_prepare(key_of(&a, &config), prepare_dtc(&a, &config)).unwrap();
-        assert!(pool.get_or_prepare(key_of(&a, &config), prepare_dtc(&a, &config)).unwrap().hit);
-        pool.get_or_prepare(key_of(&b, &config), prepare_dtc(&b, &config)).unwrap();
-        assert!(pool.get_or_prepare(key_of(&b, &config), prepare_dtc(&b, &config)).unwrap().hit);
-        // C evicts A (the LRU); A's arena slot index is recycled for C.
-        let fc = pool.get_or_prepare(key_of(&c, &config), prepare_dtc(&c, &config)).unwrap();
-        assert!(!fc.hit);
-        assert_eq!(fc.engine.rows(), 48);
-        // A must now be a full miss — never front-served from the stale slot.
-        let fa = pool.get_or_prepare(key_of(&a, &config), prepare_dtc(&a, &config)).unwrap();
-        assert!(!fa.hit, "evicted engine must not be served from the front tier");
-        assert_eq!(fa.engine.rows(), 64);
-    }
-
-    #[test]
-    fn exact_only_pool_is_bitwise_identical() {
-        let _g = SWITCH.lock().unwrap();
-        // With the front tier disabled the exact bucket walk must resolve
-        // the very same resident engine (Arc identity).
-        let pool = EnginePool::new(PoolConfig::default());
-        let config = EngineConfig::default();
-        let a = uniform(80, 80, 400, 9104);
-        let two_tier = pool.get_or_prepare(key_of(&a, &config), prepare_dtc(&a, &config)).unwrap();
-        dtc_par::set_front_tier_enabled(false);
-        let exact_only =
-            pool.get_or_prepare(key_of(&a, &config), prepare_dtc(&a, &config)).unwrap();
-        dtc_par::set_front_tier_enabled(true);
-        assert!(exact_only.hit);
-        assert!(Arc::ptr_eq(&two_tier.engine, &exact_only.engine));
-    }
-
     #[test]
     fn pool_event_stream_passes_the_protocol_lints() {
-        let _g = SWITCH.lock().unwrap();
         // Capture the real protocol: two misses, hits, then an eviction.
         // The captured stream must satisfy every pool lint — insert before
-        // publish, remove adjacent to its front invalidation.
+        // publish, no removal of a slot that was never inserted.
         set_pool_event_log(true);
         let _ = drain_pool_events();
         let pool = EnginePool::new(PoolConfig { capacity: 2, warmup_uses: 1 });
@@ -579,11 +394,7 @@ mod tests {
         let pa = key_of(&a, &config).primary();
         assert!(events.contains(&PoolEvent::Insert { primary: pa }), "{events:?}");
         assert!(events.contains(&PoolEvent::Publish { primary: pa }), "{events:?}");
-        let rm = events
-            .iter()
-            .position(|&e| e == PoolEvent::Remove { primary: pa })
-            .expect("A was evicted");
-        assert_eq!(events.get(rm + 1), Some(&PoolEvent::FrontInvalidate { primary: pa }));
+        assert!(events.contains(&PoolEvent::Remove { primary: pa }), "A was evicted: {events:?}");
 
         let diags = dtc_verify::verify_pool_events("pool", &events);
         assert!(diags.is_empty(), "{diags:?}");

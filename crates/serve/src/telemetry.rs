@@ -1,4 +1,4 @@
-//! Cached handles for the serving layer's registry counters.
+//! Handles for the serving layer's registry counters.
 //!
 //! Naming (all in the process-wide `dtc-telemetry` registry):
 //!
@@ -15,22 +15,38 @@
 //! `serve.prepare` span around every engine build.
 
 use dtc_telemetry::Counter;
-use std::sync::OnceLock;
 
-macro_rules! cached_counter {
-    ($fn_name:ident, $name:expr) => {
-        /// Cached handle for the registry counter of the same name.
-        pub fn $fn_name() -> &'static Counter {
-            static C: OnceLock<&'static Counter> = OnceLock::new();
-            C.get_or_init(|| dtc_telemetry::counter($name))
-        }
-    };
+/// The `serve.requests.admitted` counter.
+pub fn requests_admitted() -> &'static Counter {
+    dtc_telemetry::metric!(counter, "serve.requests.admitted")
 }
 
-cached_counter!(requests_admitted, "serve.requests.admitted");
-cached_counter!(requests_coalesced, "serve.requests.coalesced");
-cached_counter!(requests_rejected, "serve.requests.rejected");
-cached_counter!(pool_hits, "serve.pool.hits");
-cached_counter!(pool_misses, "serve.pool.misses");
-cached_counter!(pool_evictions, "serve.pool.evictions");
-cached_counter!(pool_invalidations, "serve.pool.invalidations");
+/// The `serve.requests.coalesced` counter.
+pub fn requests_coalesced() -> &'static Counter {
+    dtc_telemetry::metric!(counter, "serve.requests.coalesced")
+}
+
+/// The `serve.requests.rejected` counter.
+pub fn requests_rejected() -> &'static Counter {
+    dtc_telemetry::metric!(counter, "serve.requests.rejected")
+}
+
+/// The `serve.pool.hits` counter.
+pub fn pool_hits() -> &'static Counter {
+    dtc_telemetry::metric!(counter, "serve.pool.hits")
+}
+
+/// The `serve.pool.misses` counter.
+pub fn pool_misses() -> &'static Counter {
+    dtc_telemetry::metric!(counter, "serve.pool.misses")
+}
+
+/// The `serve.pool.evictions` counter.
+pub fn pool_evictions() -> &'static Counter {
+    dtc_telemetry::metric!(counter, "serve.pool.evictions")
+}
+
+/// The `serve.pool.invalidations` counter.
+pub fn pool_invalidations() -> &'static Counter {
+    dtc_telemetry::metric!(counter, "serve.pool.invalidations")
+}

@@ -2,16 +2,13 @@
 //!
 //! The delta-update contract says that after [`DtcSpmm::apply_delta`]
 //! mutates a matrix in place, **no caching layer may serve a pre-edit
-//! artifact**: the process-wide conversion cache (both its lossy front
-//! tier and the exact tier), the engine's trace cache (and the duration
-//! classes interned inside its traces), and the serving layer's
-//! [`EnginePool`] slots keyed by the mutated matrix's [`KeyMaterial`].
-//! These properties drive arbitrary edit scripts through the full stack
-//! and check every layer either misses or serves post-edit state — plus a
-//! crafted front-tier collision where the purged key shares its
-//! direct-mapped slot with an innocent neighbor, the case where purging
-//! by slot index instead of by key would evict the neighbor or, worse,
-//! leave the stale entry resident.
+//! artifact**: the process-wide conversion cache, the engine's trace
+//! cache (and the duration classes interned inside its traces), and the
+//! serving layer's [`EnginePool`] slots keyed by the mutated matrix's
+//! [`KeyMaterial`]. These properties drive arbitrary edit scripts through
+//! the full stack and check every layer either misses or serves post-edit
+//! state — plus a near-duplicate neighbor (one value bit apart from the
+//! edited matrix) that the purge must leave resident.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -101,8 +98,8 @@ proptest! {
         prop_assert_eq!(dropped, 1, "exactly the pooled pre-edit engine must drop");
         prop_assert!(server.pool().is_empty());
 
-        // Conversion cache: the pre-edit conversion is gone from both
-        // tiers — purging the pre-edit identity again finds nothing.
+        // Conversion cache: the pre-edit conversion is gone — purging the
+        // pre-edit identity again finds nothing.
         // (Checked before any rebuild, which would legitimately re-admit
         // when the script happens to be a no-op and `edited == a`.)
         prop_assert_eq!(invalidate_conversion(&pre_material), 0);
@@ -125,53 +122,38 @@ proptest! {
 
         // And the conversion cache now serves only the post-edit format.
         let conv = metcf_for(&edited).expect("within u32 bounds");
-        prop_assert!(conv.metcf == *engine.metcf());
+        prop_assert!(*conv.metcf == *engine.metcf());
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Crafted front-tier collision: a neighbor matrix occupying the SAME
-    /// direct-mapped conversion front slot as the edited one. Purging the
-    /// pre-edit key must leave the neighbor served and the edited identity
-    /// missing, in both residency orders.
+    /// Near-duplicate neighbor: B is A with one stored value's lowest bit
+    /// flipped, so the two share dims, nnz and both index digests. Purging
+    /// A's pre-edit identity must leave B resident (the same `Arc` comes
+    /// back) and A's pre-edit identity missing, in both residency orders.
     #[test]
-    fn same_slot_front_tier_neighbor_survives_the_purge(
+    fn near_duplicate_neighbor_survives_the_purge(
         seed in 0u64..1 << 32,
         a_last in any::<bool>(),
     ) {
-        // Mirrors the conversion front's slot math: 256 direct-mapped
-        // slots, high half folded down (`FRONT_SLOTS` in dtc-core and
-        // `FrontTier::slot_of` in dtc-par).
-        let slot_of = |m: &KeyMaterial| {
-            let h = m.fingerprint();
-            (h ^ (h >> 32)) & 255
-        };
         let a = fresh_matrix(64, 64, 400, seed);
+        let mut triplets: Vec<(usize, usize, f32)> = a.iter().collect();
+        let (r, c, v) = triplets[0];
+        triplets[0] = (r, c, f32::from_bits(v.to_bits() ^ 1));
+        let b = CsrMatrix::from_triplets(64, 64, &triplets).expect("in-bounds triplets");
         let material_a = KeyMaterial::of(&a);
-        let mut neighbor = None;
-        for probe in 0..16_384u64 {
-            let b = fresh_matrix(64, 64, 400, seed ^ 0xB000 ^ probe);
-            let material_b = KeyMaterial::of(&b);
-            if slot_of(&material_b) == slot_of(&material_a) && material_b != material_a {
-                neighbor = Some((b, material_b));
-                break;
-            }
-        }
-        let (b, material_b) = neighbor.expect("a same-slot neighbor exists within 16Ki draws");
+        prop_assert!(KeyMaterial::of(&b) != material_a);
 
-        // Warm both; generation order decides which one owns the shared
-        // front slot when the purge lands.
-        let (arc_a, arc_b);
-        if a_last {
-            arc_b = metcf_for(&b).expect("within u32 bounds");
-            arc_a = metcf_for(&a).expect("within u32 bounds");
+        let arc_b = if a_last {
+            let arc_b = metcf_for(&b).expect("within u32 bounds");
+            metcf_for(&a).expect("within u32 bounds");
+            arc_b
         } else {
-            arc_a = metcf_for(&a).expect("within u32 bounds");
-            arc_b = metcf_for(&b).expect("within u32 bounds");
-        }
-        let _ = &arc_a;
+            metcf_for(&a).expect("within u32 bounds");
+            metcf_for(&b).expect("within u32 bounds")
+        };
 
         let mut engine = DtcSpmm::new(&a);
         let mut delta = MatrixDelta::new();
@@ -179,16 +161,15 @@ proptest! {
         delta.delete(1, 1);
         engine.apply_delta(&delta, &DeltaPolicy::default()).expect("in-bounds delta");
 
-        // The purge was by key, not by slot: the same-slot neighbor is
-        // still resident (same Arc back), the pre-edit identity is gone,
-        // and the edited identity resolves to post-edit state only.
+        // The purge took exactly A's identity: B is still resident (same
+        // Arc back), A's pre-edit identity is gone, and the edited
+        // identity resolves to post-edit state only.
         let b_again = metcf_for(&b).expect("within u32 bounds");
         prop_assert!(Arc::ptr_eq(&arc_b, &b_again), "neighbor evicted by a foreign purge");
         prop_assert_eq!(invalidate_conversion(&material_a), 0);
-        let _ = material_b;
         let edited = delta.apply_to_csr(&a).expect("in-bounds delta");
         let conv = metcf_for(&edited).expect("within u32 bounds");
-        prop_assert!(conv.metcf == MeTcfMatrix::from_csr(&edited));
-        prop_assert!(conv.metcf == *engine.metcf());
+        prop_assert!(*conv.metcf == MeTcfMatrix::from_csr(&edited));
+        prop_assert!(*conv.metcf == *engine.metcf());
     }
 }

@@ -254,21 +254,12 @@ pub fn simulate(device: &Device, trace: &KernelTrace, options: &SimOptions) -> S
 /// Bumps the process-wide registry with launch-level aggregates (cheap:
 /// relaxed atomic writes through cached handles).
 fn sim_telemetry(trace: &KernelTrace, counters: &CounterSet) {
-    use std::sync::OnceLock;
-    static CALLS: OnceLock<&'static dtc_telemetry::Counter> = OnceLock::new();
-    static TBS: OnceLock<&'static dtc_telemetry::Counter> = OnceLock::new();
-    static BLOCKS: OnceLock<&'static dtc_telemetry::Gauge> = OnceLock::new();
-    static CLASSES: OnceLock<&'static dtc_telemetry::Gauge> = OnceLock::new();
-    static BYTES: OnceLock<&'static dtc_telemetry::Gauge> = OnceLock::new();
-    CALLS.get_or_init(|| dtc_telemetry::counter("sim.simulate.calls")).incr();
-    TBS.get_or_init(|| dtc_telemetry::counter("sim.simulate.tbs"))
-        .add(counters.total_blocks() as u64);
+    dtc_telemetry::metric!(counter, "sim.simulate.calls").incr();
+    dtc_telemetry::metric!(counter, "sim.simulate.tbs").add(counters.total_blocks() as u64);
     // Last-trace compression shape: blocks vs interned classes vs bytes held.
-    BLOCKS.get_or_init(|| dtc_telemetry::gauge("sim.trace.blocks")).set(trace.num_tbs() as f64);
-    CLASSES
-        .get_or_init(|| dtc_telemetry::gauge("sim.trace.classes"))
-        .set(trace.num_classes() as f64);
-    BYTES.get_or_init(|| dtc_telemetry::gauge("sim.trace.bytes")).set(trace.memory_bytes() as f64);
+    dtc_telemetry::metric!(gauge, "sim.trace.blocks").set(trace.num_tbs() as f64);
+    dtc_telemetry::metric!(gauge, "sim.trace.classes").set(trace.num_classes() as f64);
+    dtc_telemetry::metric!(gauge, "sim.trace.bytes").set(trace.memory_bytes() as f64);
 }
 
 #[cfg(test)]

@@ -180,10 +180,34 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
 }
 
+/// The `&'static` handle of a registry metric, looked up on the first
+/// evaluation at each call site and cached in a per-site static after
+/// that: `metric!(counter, "a.b")` yields a [`Counter`],
+/// `metric!(gauge, "a.b")` a [`Gauge`]. Hot paths use this instead of
+/// calling [`counter`] / [`gauge`] (a locked map lookup) every time.
+///
+/// ```
+/// dtc_telemetry::metric!(counter, "example.macro_hits").add(2);
+/// assert!(dtc_telemetry::counter("example.macro_hits").get() >= 2);
+/// ```
+#[macro_export]
+macro_rules! metric {
+    (counter, $name:expr) => {
+        $crate::metric!(@cached $crate::Counter, $crate::counter, $name)
+    };
+    (gauge, $name:expr) => {
+        $crate::metric!(@cached $crate::Gauge, $crate::gauge, $name)
+    };
+    (@cached $ty:ty, $lookup:path, $name:expr) => {{
+        static HANDLE: ::std::sync::OnceLock<&'static $ty> = ::std::sync::OnceLock::new();
+        *HANDLE.get_or_init(|| $lookup($name))
+    }};
+}
+
 /// Returns the registered counter named `name`, creating it on first use.
 ///
-/// The handle is `&'static`: hot paths should call this once (e.g. through
-/// a `OnceLock`) and then use [`Counter::add`] directly.
+/// The handle is `&'static`: hot paths should look it up once (through
+/// [`metric!`]) and then use [`Counter::add`] directly.
 pub fn counter(name: &str) -> &'static Counter {
     let mut map = registry().counters.lock().unwrap();
     if let Some(c) = map.get(name) {

@@ -60,17 +60,11 @@ pub use sched::{
     PoolEvent, SchedCase, SchedDiagnostic, SchedLintId,
 };
 
-use std::sync::OnceLock;
-
 /// Bumps the process-wide lint telemetry: `verify.lints.run` counts lint
 /// passes executed, `verify.lints.violations` counts diagnostics produced.
 fn lint_telemetry(passes: usize, violations: usize) {
-    static RUN: OnceLock<&'static dtc_telemetry::Counter> = OnceLock::new();
-    static VIOLATIONS: OnceLock<&'static dtc_telemetry::Counter> = OnceLock::new();
-    RUN.get_or_init(|| dtc_telemetry::counter("verify.lints.run")).add(passes as u64);
-    VIOLATIONS
-        .get_or_init(|| dtc_telemetry::counter("verify.lints.violations"))
-        .add(violations as u64);
+    dtc_telemetry::metric!(counter, "verify.lints.run").add(passes as u64);
+    dtc_telemetry::metric!(counter, "verify.lints.violations").add(violations as u64);
 }
 
 /// Statically analyzes one lowered trace: structural invariants, resource

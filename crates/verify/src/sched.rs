@@ -8,8 +8,7 @@
 //! against the determinism contract — every plan must cover its index
 //! space exactly once, nested parallel sections must run serial, the
 //! workspace's lock-acquisition graph must stay acyclic, and the serving
-//! pool must insert a slot before publishing its engine and invalidate
-//! the lossy front tier in the same critical section as an eviction.
+//! pool must insert a slot before publishing its engine.
 //!
 //! Four entry points, one per evidence source:
 //!
@@ -71,9 +70,6 @@ pub enum SchedLintId {
     /// Two live slots share a primary hash (legal on hash collision, but
     /// worth a look).
     PoolDoubleInsert,
-    /// Evicting or removing a slot must invalidate the lossy front tier
-    /// in the same critical section (the immediately following event).
-    PoolEvictFrontInvalidate,
     // Model-checker findings (emitted by dtc-sched).
     /// A result slot was written zero or multiple times on an explored
     /// schedule.
@@ -90,7 +86,7 @@ pub enum SchedLintId {
 
 impl SchedLintId {
     /// Every concurrency lint, in report order.
-    pub const ALL: [SchedLintId; 17] = [
+    pub const ALL: [SchedLintId; 16] = [
         SchedLintId::PlanChunkCoverage,
         SchedLintId::PlanChunkDisjoint,
         SchedLintId::PlanBandCoverage,
@@ -102,7 +98,6 @@ impl SchedLintId {
         SchedLintId::LockOrderCycle,
         SchedLintId::PoolPublishOrder,
         SchedLintId::PoolDoubleInsert,
-        SchedLintId::PoolEvictFrontInvalidate,
         SchedLintId::SchedSlotExclusivity,
         SchedLintId::SchedOutputDivergence,
         SchedLintId::SchedChunkCoverage,
@@ -124,7 +119,6 @@ impl SchedLintId {
             SchedLintId::LockOrderCycle => "lock-order-cycle",
             SchedLintId::PoolPublishOrder => "pool-publish-order",
             SchedLintId::PoolDoubleInsert => "pool-double-insert",
-            SchedLintId::PoolEvictFrontInvalidate => "pool-evict-front-invalidate",
             SchedLintId::SchedSlotExclusivity => "sched-slot-exclusivity",
             SchedLintId::SchedOutputDivergence => "sched-output-divergence",
             SchedLintId::SchedChunkCoverage => "sched-chunk-coverage",
@@ -163,9 +157,6 @@ impl SchedLintId {
                 "a pool slot must be inserted before its engine is published"
             }
             SchedLintId::PoolDoubleInsert => "two live pool slots share a primary hash",
-            SchedLintId::PoolEvictFrontInvalidate => {
-                "evicting a slot must invalidate the front tier in the same critical section"
-            }
             SchedLintId::SchedSlotExclusivity => {
                 "every result slot must be written exactly once per schedule"
             }
@@ -736,12 +727,6 @@ pub enum PoolEvent {
         /// The slot key's primary hash.
         primary: u64,
     },
-    /// The lossy front tier dropped its entry for the key, in the same
-    /// critical section as the removal.
-    FrontInvalidate {
-        /// The slot key's primary hash.
-        primary: u64,
-    },
 }
 
 impl PoolEvent {
@@ -749,8 +734,7 @@ impl PoolEvent {
         match self {
             PoolEvent::Insert { primary }
             | PoolEvent::Publish { primary }
-            | PoolEvent::Remove { primary }
-            | PoolEvent::FrontInvalidate { primary } => primary,
+            | PoolEvent::Remove { primary } => primary,
         }
     }
 }
@@ -761,10 +745,6 @@ impl PoolEvent {
 ///   `Insert` ([`SchedLintId::PoolPublishOrder`] — the coalescing
 ///   invariant: the bucket entry exists before the engine builds, so
 ///   concurrent requests for the key find and wait on the same cell);
-/// - a `Remove` must be immediately followed by a `FrontInvalidate` for
-///   the same key ([`SchedLintId::PoolEvictFrontInvalidate`] — both
-///   happen in one critical section, or a stale front-tier probe could
-///   resurrect an evicted slot index);
 /// - two live `Insert`s for one primary are flagged as a warning
 ///   ([`SchedLintId::PoolDoubleInsert`]).
 pub fn verify_pool_events(name: &str, events: &[PoolEvent]) -> Vec<SchedDiagnostic> {
@@ -772,7 +752,6 @@ pub fn verify_pool_events(name: &str, events: &[PoolEvent]) -> Vec<SchedDiagnost
     let mut diags = Vec::new();
     let mut live: HashMap<u64, usize> = HashMap::new();
     let mut order_count = 0;
-    let mut evict_count = 0;
     for (e, &event) in events.iter().enumerate() {
         let primary = event.primary();
         match event {
@@ -818,26 +797,7 @@ pub fn verify_pool_events(name: &str, events: &[PoolEvent]) -> Vec<SchedDiagnost
                 } else {
                     *slot -= 1;
                 }
-                let followed = matches!(
-                    events.get(e + 1),
-                    Some(PoolEvent::FrontInvalidate { primary: p }) if *p == primary
-                );
-                if !followed {
-                    evict_count = capped(
-                        &mut diags,
-                        evict_count,
-                        SchedDiagnostic::new(
-                            SchedLintId::PoolEvictFrontInvalidate,
-                            SchedLocation::event(e),
-                            format!(
-                                "slot for primary {primary:#018x} removed without invalidating \
-                                 the front tier in the same critical section"
-                            ),
-                        ),
-                    );
-                }
             }
-            PoolEvent::FrontInvalidate { .. } => {}
         }
     }
     crate::lint_telemetry(3, diags.len());
@@ -1028,7 +988,6 @@ mod tests {
             PoolEvent::Insert { primary: 2 },
             PoolEvent::Publish { primary: 2 },
             PoolEvent::Remove { primary: 1 },
-            PoolEvent::FrontInvalidate { primary: 1 },
         ];
         let diags = verify_pool_events("t", &events);
         assert!(diags.is_empty(), "{diags:?}");
@@ -1039,21 +998,6 @@ mod tests {
         let events = [PoolEvent::Publish { primary: 9 }, PoolEvent::Insert { primary: 9 }];
         let diags = verify_pool_events("t", &events);
         assert!(has(&diags, SchedLintId::PoolPublishOrder), "{diags:?}");
-    }
-
-    #[test]
-    fn mutation_evict_without_front_invalidate_is_caught() {
-        let events = [
-            PoolEvent::Insert { primary: 3 },
-            PoolEvent::Publish { primary: 3 },
-            PoolEvent::Remove { primary: 3 },
-            // The seeded bug: the invalidate is delayed past the critical
-            // section (another key's event interleaves).
-            PoolEvent::Insert { primary: 4 },
-            PoolEvent::FrontInvalidate { primary: 3 },
-        ];
-        let diags = verify_pool_events("t", &events);
-        assert!(has(&diags, SchedLintId::PoolEvictFrontInvalidate), "{diags:?}");
     }
 
     #[test]

@@ -27,7 +27,7 @@ cargo run --release -q -p dtc-bench --bin fuzz -- --smoke
 echo "== serve_bench --smoke (bitwise conformance; pool hit-rate gate 90%)"
 cargo run --release -q -p dtc-bench --bin serve_bench -- --smoke
 
-echo "== cache_bench --smoke (two-tier <= exact-only steady state; collision verify-reject)"
+echo "== cache_bench --smoke (warm conversion lookup <= 1.15x key pass; intern two-tier <= exact-only; collision verify-reject)"
 cargo run --release -q -p dtc-bench --bin cache_bench -- --smoke
 
 echo "== schedcheck --smoke (schedule-space model check; lock-order audit)"
