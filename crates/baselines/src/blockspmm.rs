@@ -15,6 +15,7 @@ use dtc_formats::tf32::round_to_tf32;
 use dtc_formats::{BellMatrix, CsrMatrix, DenseMatrix, FormatError};
 use dtc_sim::occupancy::KernelResources;
 use dtc_sim::{Device, KernelTrace, SectorStream, TbWork};
+use std::sync::Arc;
 
 /// Block-SpMM kernel model over BELL.
 #[derive(Debug, Clone)]
@@ -102,7 +103,7 @@ impl SpmmKernel for BlockSpmm {
         Ok(c)
     }
 
-    fn trace(&self, n: usize, device: &Device, record_b_addrs: bool) -> KernelTrace {
+    fn trace(&self, n: usize, device: &Device, record_b_addrs: bool) -> Arc<KernelTrace> {
         let n_f = n as f64;
         let bs = self.bell.block_size() as f64;
         let mut trace = KernelTrace::new(4, 8);
@@ -156,7 +157,7 @@ impl SpmmKernel for BlockSpmm {
         }
         trace.assumed_l2_hit_rate =
             estimate_b_hit_rate(self.distinct_cols, total_b_sectors.max(1.0), n, device);
-        trace
+        Arc::new(trace)
     }
 }
 

@@ -14,6 +14,7 @@ use dtc_formats::tf32::round_to_tf32;
 use dtc_formats::{CsrMatrix, DenseMatrix, FormatError};
 use dtc_sim::occupancy::KernelResources;
 use dtc_sim::{Device, KernelTrace, TbWork};
+use std::sync::Arc;
 
 /// Rows per output tile (one thread block).
 const TILE_M: usize = 128;
@@ -114,7 +115,7 @@ impl SpmmKernel for FlashLlmSpmm {
         Ok(c)
     }
 
-    fn trace(&self, n: usize, device: &Device, _record_b_addrs: bool) -> KernelTrace {
+    fn trace(&self, n: usize, device: &Device, _record_b_addrs: bool) -> Arc<KernelTrace> {
         let n_f = n as f64;
         let k_f = self.a.cols() as f64;
         // Heavy shared-memory tiling limits occupancy.
@@ -157,7 +158,7 @@ impl SpmmKernel for FlashLlmSpmm {
         }
         trace.assumed_l2_hit_rate =
             estimate_b_hit_rate(self.distinct_cols, total_b_sectors.max(1.0), n, device);
-        trace
+        Arc::new(trace)
     }
 }
 

@@ -17,6 +17,7 @@ use crate::SpmmKernel;
 use dtc_formats::{CsrMatrix, DenseMatrix, FormatError};
 use dtc_sim::occupancy::KernelResources;
 use dtc_sim::{Device, KernelTrace, SectorStream, TbWork};
+use std::sync::Arc;
 
 /// Warp-batches of short rows / row-fragments per thread block.
 const UNITS_PER_TB: usize = 8;
@@ -96,7 +97,7 @@ impl SpmmKernel for HpSpmm {
         self.a.spmm_reference(b)
     }
 
-    fn trace(&self, n: usize, device: &Device, record_b_addrs: bool) -> KernelTrace {
+    fn trace(&self, n: usize, device: &Device, record_b_addrs: bool) -> Arc<KernelTrace> {
         // 8 blocks x 8 warps would claim 64 warp slots against Ada's 48; the
         // register-file-legal occupancy for this launch shape is 6.
         let mut trace = KernelTrace::new(6, 8);
@@ -155,7 +156,7 @@ impl SpmmKernel for HpSpmm {
         }
         trace.assumed_l2_hit_rate =
             estimate_b_hit_rate(self.distinct_cols, total_b_sectors.max(1.0), n, device);
-        trace
+        Arc::new(trace)
     }
 }
 

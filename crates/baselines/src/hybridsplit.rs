@@ -17,6 +17,7 @@ use dtc_formats::tf32::round_to_tf32;
 use dtc_formats::{Condensed, CsrMatrix, DenseMatrix, FormatError};
 use dtc_sim::occupancy::KernelResources;
 use dtc_sim::{Device, KernelTrace, SectorStream, TbWork};
+use std::sync::Arc;
 
 /// Hybrid dense/sparse split SpMM.
 #[derive(Debug, Clone)]
@@ -129,7 +130,7 @@ impl SpmmKernel for HybridSplitSpmm {
         Ok(c)
     }
 
-    fn trace(&self, n: usize, device: &Device, record_b_addrs: bool) -> KernelTrace {
+    fn trace(&self, n: usize, device: &Device, record_b_addrs: bool) -> Arc<KernelTrace> {
         let n_f = n as f64;
         let mut trace = KernelTrace::new(6, 8);
         trace.set_resources(KernelResources {
@@ -201,7 +202,7 @@ impl SpmmKernel for HybridSplitSpmm {
         }
         trace.assumed_l2_hit_rate =
             estimate_b_hit_rate(self.distinct_cols, total_b_sectors.max(1.0), n, device);
-        trace
+        Arc::new(trace)
     }
 }
 

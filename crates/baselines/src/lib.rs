@@ -69,9 +69,16 @@ pub use vectorsparse::VectorSparseSpmm;
 
 use dtc_formats::{DenseMatrix, FormatError};
 use dtc_sim::{Device, KernelTrace, SimOptions, SimReport};
+use std::sync::Arc;
 
 /// A complete SpMM engine: exact execution plus performance lowering.
-pub trait SpmmKernel {
+///
+/// This is the workspace's one execution trait: the baselines, the DTC
+/// kernels and the assembled `DtcSpmm` pipeline all implement it, and the
+/// serving layer pools prepared engines as `Arc<dyn SpmmKernel>`. It is
+/// object-safe, and `Send + Sync` so one prepared engine can serve
+/// concurrent request threads.
+pub trait SpmmKernel: Send + Sync {
     /// Display name for tables and figures.
     fn name(&self) -> &str;
 
@@ -95,7 +102,9 @@ pub trait SpmmKernel {
     /// Lowers the kernel for an `N`-column dense operand into a
     /// per-thread-block performance trace. When `record_b_addrs` is set,
     /// the trace carries B-access sector addresses for L2 simulation.
-    fn trace(&self, n: usize, device: &Device, record_b_addrs: bool) -> KernelTrace;
+    /// The trace is shared, so an engine that memoizes its lowerings hands
+    /// out the resident copy instead of cloning it.
+    fn trace(&self, n: usize, device: &Device, record_b_addrs: bool) -> Arc<KernelTrace>;
 
     /// Lowers and simulates in one call under explicit [`SimOptions`] —
     /// the single simulation entry point every engine shares. B-access

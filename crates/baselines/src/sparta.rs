@@ -14,6 +14,7 @@ use dtc_formats::tf32::round_to_tf32;
 use dtc_formats::{CsrMatrix, DenseMatrix, FormatError};
 use dtc_sim::occupancy::KernelResources;
 use dtc_sim::{Device, KernelTrace, TbWork};
+use std::sync::Arc;
 
 /// SparTA's documented shape limit.
 pub const SPARTA_DEFAULT_LIMIT: usize = 50_000;
@@ -131,7 +132,7 @@ impl SpmmKernel for SpartaSpmm {
         Ok(c)
     }
 
-    fn trace(&self, n: usize, device: &Device, _record_b_addrs: bool) -> KernelTrace {
+    fn trace(&self, n: usize, device: &Device, _record_b_addrs: bool) -> Arc<KernelTrace> {
         let n_f = n as f64;
         let mut trace = KernelTrace::new(6, 8);
         trace.set_resources(KernelResources {
@@ -190,7 +191,7 @@ impl SpmmKernel for SpartaSpmm {
         }
         trace.assumed_l2_hit_rate =
             estimate_b_hit_rate(self.distinct_cols, total_b_sectors.max(1.0), n, device);
-        trace
+        Arc::new(trace)
     }
 }
 

@@ -9,6 +9,7 @@ use crate::SpmmKernel;
 use dtc_formats::{CsrMatrix, DenseMatrix, FormatError};
 use dtc_sim::occupancy::KernelResources;
 use dtc_sim::{Device, KernelTrace, SectorStream, TbWork};
+use std::sync::Arc;
 
 /// Non-zeros per 1-D tile (one tile = one thread block's work unit).
 const NNZ_PER_TILE: usize = 256;
@@ -80,7 +81,7 @@ impl SpmmKernel for SputnikSpmm {
         self.a.spmm_reference(b)
     }
 
-    fn trace(&self, n: usize, device: &Device, record_b_addrs: bool) -> KernelTrace {
+    fn trace(&self, n: usize, device: &Device, record_b_addrs: bool) -> Arc<KernelTrace> {
         // 8 blocks x 8 warps would claim 64 warp slots against Ada's 48; the
         // register-file-legal occupancy for this launch shape is 6.
         let mut trace = KernelTrace::new(6, 8);
@@ -164,7 +165,7 @@ impl SpmmKernel for SputnikSpmm {
 
         trace.assumed_l2_hit_rate =
             estimate_b_hit_rate(self.distinct_cols, total_b_sectors, n, device);
-        trace
+        Arc::new(trace)
     }
 }
 

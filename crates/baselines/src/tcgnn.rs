@@ -21,6 +21,7 @@ use dtc_formats::tf32::round_to_tf32;
 use dtc_formats::{Condensed, CsrMatrix, DenseMatrix, FormatError, TcfMatrix};
 use dtc_sim::occupancy::KernelResources;
 use dtc_sim::{Device, KernelTrace, SectorStream, TbWork};
+use std::sync::Arc;
 
 /// IMADs per scanned edge in the per-block window re-scan (per thread,
 /// before the 1/32 warp normalization).
@@ -109,7 +110,7 @@ impl SpmmKernel for TcgnnSpmm {
         Ok(c)
     }
 
-    fn trace(&self, n: usize, device: &Device, record_b_addrs: bool) -> KernelTrace {
+    fn trace(&self, n: usize, device: &Device, record_b_addrs: bool) -> Arc<KernelTrace> {
         let n_f = n as f64;
         // Shared-memory staging limits TCGNN's occupancy.
         let mut trace = KernelTrace::new(4, 8);
@@ -167,7 +168,7 @@ impl SpmmKernel for TcgnnSpmm {
         }
         trace.assumed_l2_hit_rate =
             estimate_b_hit_rate(self.distinct_cols, total_b_sectors, n, device);
-        trace
+        Arc::new(trace)
     }
 }
 

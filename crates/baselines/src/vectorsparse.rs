@@ -14,6 +14,7 @@ use dtc_formats::tf32::round_to_tf32;
 use dtc_formats::{CsrMatrix, CvseMatrix, DenseMatrix, FormatError};
 use dtc_sim::occupancy::KernelResources;
 use dtc_sim::{Device, KernelTrace, SectorStream, TbWork};
+use std::sync::Arc;
 
 /// Row groups per thread block.
 const GROUPS_PER_TB: usize = 8;
@@ -96,7 +97,7 @@ impl SpmmKernel for VectorSparseSpmm {
         Ok(c)
     }
 
-    fn trace(&self, n: usize, device: &Device, record_b_addrs: bool) -> KernelTrace {
+    fn trace(&self, n: usize, device: &Device, record_b_addrs: bool) -> Arc<KernelTrace> {
         let n_f = n as f64;
         let vlen = self.cvse.vector_len() as f64;
         let mut trace = KernelTrace::new(6, 8);
@@ -146,7 +147,7 @@ impl SpmmKernel for VectorSparseSpmm {
         }
         trace.assumed_l2_hit_rate =
             estimate_b_hit_rate(self.distinct_cols, total_b_sectors.max(1.0), n, device);
-        trace
+        Arc::new(trace)
     }
 }
 

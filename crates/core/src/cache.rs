@@ -35,9 +35,9 @@ pub struct CachedConversion {
     pub distinct_cols: usize,
 }
 
-/// Matrix identity: the conversion cache's key and the public identity
-/// every prepared engine reports through [`crate::SpmmEngine::key`], so the
-/// serving layer can key its engine pool on it.
+/// Matrix identity: the conversion cache's key, the identity a built
+/// engine reports through [`crate::DtcSpmm::key`], and the matrix part of
+/// the serving layer's engine-pool key.
 ///
 /// Dims and nnz are stored outright; the three arrays are summarized by
 /// differently seeded FNV-1a checksums, so two distinct matrices of equal

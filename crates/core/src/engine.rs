@@ -1,71 +1,21 @@
-//! The unified, object-safe engine trait every SpMM front end shares.
+//! The single front door that prepares an engine behind the shared
+//! execution trait.
 //!
-//! [`SpmmKernel`](dtc_baselines::SpmmKernel) is the *kernel*-level surface:
-//! exact execution plus a lowering to a simulator trace, with format-level
-//! errors. [`SpmmEngine`] is the *engine*-level surface the serving layer
-//! (`dtc-serve`) pools behind one front door:
-//!
-//! - **prepare once** — all one-time costs (reordering, ME-TCF conversion,
-//!   Selector simulation, baseline format builds) are paid in [`prepare`]
-//!   (or the concrete builders); the trait itself only exposes the
-//!   prepared, repeatable operations;
-//! - [`SpmmEngine::execute`] — exact SpMM returning the unified
-//!   [`DtcError`];
-//! - [`SpmmEngine::key`] — the [`KeyMaterial`] identity of the *source*
-//!   matrix, so pools can recognize "same matrix" across tenants without
-//!   holding the matrix itself;
-//! - [`SpmmEngine::simulate`] — the simulated-GPU performance estimate.
-//!
-//! The trait is object-safe: tenants hold `Box<dyn SpmmEngine>` /
-//! `Arc<dyn SpmmEngine>` regardless of whether the engine is the DTC
-//! pipeline ([`DtcSpmm`]), an iterative session ([`IterativeSpmm`]), or a
-//! boxed baseline ([`BaselineEngine`]).
+//! Every engine in the workspace implements
+//! [`SpmmKernel`](dtc_baselines::SpmmKernel): exact execution, a lowering to
+//! a simulator trace, and simulation. [`prepare`] pays all one-time costs
+//! (reordering, ME-TCF conversion, Selector simulation, baseline format
+//! builds) and returns the prepared engine boxed behind that trait, so the
+//! serving layer (`dtc-serve`) pools the DTC pipeline ([`DtcSpmm`]) and the
+//! baselines alike as `Arc<dyn SpmmKernel>`. The pool keys engines on the
+//! request's [`KeyMaterial`](crate::KeyMaterial), so the trait carries no
+//! identity of its own.
 
-use crate::cache::KeyMaterial;
 use crate::config::EngineConfig;
 use crate::error::DtcError;
-use crate::{DtcSpmm, IterativeSpmm};
+use crate::DtcSpmm;
 use dtc_baselines::SpmmKernel;
-use dtc_formats::{CsrMatrix, DenseMatrix};
-use dtc_sim::{Device, KernelTrace, SimOptions, SimReport};
-
-/// A prepared SpMM engine: repeatable execution, identity, and simulation.
-///
-/// Implementations are `Send + Sync` so a serving pool can share one
-/// prepared engine across request threads.
-pub trait SpmmEngine: Send + Sync {
-    /// Display name (kernel family plus any variant suffix).
-    fn name(&self) -> &str;
-
-    /// Rows of the sparse operand (rows of every output).
-    fn rows(&self) -> usize;
-
-    /// Columns of the sparse operand (rows of every dense operand).
-    fn cols(&self) -> usize;
-
-    /// Structural non-zeros of the sparse operand.
-    fn nnz(&self) -> usize;
-
-    /// Identity of the *source* matrix this engine was prepared from
-    /// (pre-reordering), so "same matrix" is recognizable across engines.
-    fn key(&self) -> &KeyMaterial;
-
-    /// Exact SpMM `C = A × B` with the prepared engine.
-    ///
-    /// # Errors
-    ///
-    /// [`DtcError::Format`] on dimension mismatches.
-    fn execute(&self, b: &DenseMatrix) -> Result<DenseMatrix, DtcError>;
-
-    /// Lowers the prepared engine to a per-thread-block performance trace
-    /// (the input to simulation and to the dtc-verify request gate).
-    fn trace(&self, n: usize, device: &Device, record_b_addrs: bool) -> KernelTrace;
-
-    /// Simulated performance for an `N`-column dense operand.
-    fn simulate(&self, n: usize, device: &Device) -> SimReport {
-        dtc_sim::simulate(device, &self.trace(n, device, false), &SimOptions::default())
-    }
-}
+use dtc_formats::CsrMatrix;
 
 /// Which engine family [`prepare`] builds behind the trait.
 #[non_exhaustive]
@@ -73,13 +23,11 @@ pub trait SpmmEngine: Send + Sync {
 pub enum EngineKind {
     /// The full DTC-SpMM pipeline ([`DtcSpmm`]).
     Dtc,
-    /// An iterative session over the DTC pipeline ([`IterativeSpmm`]).
-    Iterative,
-    /// The conversion-free cuSPARSE baseline, boxed.
+    /// The conversion-free cuSPARSE baseline.
     Cusparse,
-    /// The Sputnik CUDA-core baseline, boxed.
+    /// The Sputnik CUDA-core baseline.
     Sputnik,
-    /// The TCGNN tensor-core baseline, boxed.
+    /// The TCGNN tensor-core baseline.
     Tcgnn,
 }
 
@@ -88,7 +36,6 @@ impl EngineKind {
     pub fn label(self) -> &'static str {
         match self {
             EngineKind::Dtc => "dtc",
-            EngineKind::Iterative => "iterative",
             EngineKind::Cusparse => "cusparse",
             EngineKind::Sputnik => "sputnik",
             EngineKind::Tcgnn => "tcgnn",
@@ -109,112 +56,55 @@ pub fn prepare(
     kind: EngineKind,
     config: &EngineConfig,
     a: &CsrMatrix,
-) -> Result<Box<dyn SpmmEngine>, DtcError> {
+) -> Result<Box<dyn SpmmKernel>, DtcError> {
     Ok(match kind {
         EngineKind::Dtc => Box::new(DtcSpmm::builder().config(config.clone()).try_build(a)?),
-        EngineKind::Iterative => Box::new(IterativeSpmm::builder().config(config.clone()).build(a)),
-        EngineKind::Cusparse => {
-            Box::new(BaselineEngine::new(Box::new(dtc_baselines::CusparseSpmm::new(a)), a))
-        }
-        EngineKind::Sputnik => {
-            Box::new(BaselineEngine::new(Box::new(dtc_baselines::SputnikSpmm::new(a)?), a))
-        }
-        EngineKind::Tcgnn => {
-            Box::new(BaselineEngine::new(Box::new(dtc_baselines::TcgnnSpmm::new(a)?), a))
-        }
+        EngineKind::Cusparse => Box::new(dtc_baselines::CusparseSpmm::new(a)),
+        EngineKind::Sputnik => Box::new(dtc_baselines::SputnikSpmm::new(a)?),
+        EngineKind::Tcgnn => Box::new(dtc_baselines::TcgnnSpmm::new(a)?),
     })
-}
-
-/// Adapter giving any boxed [`SpmmKernel`] the engine-level surface: it
-/// carries the source matrix's [`KeyMaterial`] and maps errors into
-/// [`DtcError`], so baselines go through the same pool front door as the
-/// DTC pipeline.
-pub struct BaselineEngine {
-    kernel: Box<dyn SpmmKernel + Send + Sync>,
-    key: KeyMaterial,
-}
-
-impl std::fmt::Debug for BaselineEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BaselineEngine")
-            .field("kernel", &self.kernel.name().to_string())
-            .field("key", &self.key)
-            .finish()
-    }
-}
-
-impl BaselineEngine {
-    /// Wraps a prepared kernel, recording the identity of `a` (the matrix
-    /// the kernel was built from).
-    pub fn new(kernel: Box<dyn SpmmKernel + Send + Sync>, a: &CsrMatrix) -> Self {
-        BaselineEngine { kernel, key: KeyMaterial::of(a) }
-    }
-}
-
-impl SpmmEngine for BaselineEngine {
-    fn name(&self) -> &str {
-        self.kernel.name()
-    }
-
-    fn rows(&self) -> usize {
-        self.kernel.rows()
-    }
-
-    fn cols(&self) -> usize {
-        self.kernel.cols()
-    }
-
-    fn nnz(&self) -> usize {
-        self.kernel.nnz()
-    }
-
-    fn key(&self) -> &KeyMaterial {
-        &self.key
-    }
-
-    fn execute(&self, b: &DenseMatrix) -> Result<DenseMatrix, DtcError> {
-        self.kernel.execute(b).map_err(DtcError::from)
-    }
-
-    fn trace(&self, n: usize, device: &Device, record_b_addrs: bool) -> KernelTrace {
-        self.kernel.trace(n, device, record_b_addrs)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::KeyMaterial;
     use dtc_formats::gen::{power_law, uniform};
+    use dtc_formats::DenseMatrix;
 
-    /// The trait must stay object-safe: this is the serving layer's whole
-    /// premise.
+    /// The trait must stay object-safe and shareable across threads: this
+    /// is the serving layer's whole premise. Moving the boxed engines into
+    /// scoped threads makes the `Send + Sync` supertrait a compile-time
+    /// check.
     #[test]
-    fn trait_is_object_safe_across_all_three_families() {
+    fn prepared_engines_are_object_safe_and_cross_threads() {
         let a = power_law(128, 128, 6.0, 2.2, 9);
         let config = EngineConfig::default();
-        let engines: Vec<Box<dyn SpmmEngine>> = vec![
-            prepare(EngineKind::Dtc, &config, &a).unwrap(),
-            prepare(EngineKind::Iterative, &config, &a).unwrap(),
-            prepare(EngineKind::Cusparse, &config, &a).unwrap(),
-            prepare(EngineKind::Tcgnn, &config, &a).unwrap(),
-        ];
+        let engines: Vec<Box<dyn SpmmKernel>> =
+            [EngineKind::Dtc, EngineKind::Cusparse, EngineKind::Sputnik, EngineKind::Tcgnn]
+                .into_iter()
+                .map(|kind| prepare(kind, &config, &a).unwrap())
+                .collect();
         let b = DenseMatrix::ones(128, 8);
-        let want_key = KeyMaterial::of(&a);
-        for e in &engines {
-            assert_eq!(e.rows(), 128, "{}", e.name());
-            assert_eq!(*e.key(), want_key, "{}", e.name());
-            let c = e.execute(&b).unwrap();
-            assert_eq!(c.rows(), 128);
-            let r = e.simulate(8, &config.device);
-            assert!(r.time_ms > 0.0, "{}", e.name());
-        }
+        std::thread::scope(|s| {
+            for e in engines {
+                let (b, device) = (&b, &config.device);
+                s.spawn(move || {
+                    assert_eq!(e.rows(), 128, "{}", e.name());
+                    let c = e.execute(b).unwrap();
+                    assert_eq!(c.rows(), 128);
+                    let r = e.simulate(8, device);
+                    assert!(r.time_ms > 0.0, "{}", e.name());
+                });
+            }
+        });
     }
 
     #[test]
     fn key_is_of_the_source_matrix_even_under_reordering() {
         let a = power_law(256, 256, 8.0, 2.2, 10);
-        let config = EngineConfig { reorder: true, ..EngineConfig::default() };
-        let e = prepare(EngineKind::Dtc, &config, &a).unwrap();
+        let e = DtcSpmm::builder().reorder(true).build(&a);
+        assert!(e.permutation().is_some());
         assert_eq!(*e.key(), KeyMaterial::of(&a));
     }
 
@@ -236,7 +126,7 @@ mod tests {
         let b = DenseMatrix::from_fn(192, 16, |r, c| ((r * 13 + c * 5) % 23) as f32 * 0.125 - 1.0);
         let direct = DtcSpmm::new(&a);
         let via_trait = prepare(EngineKind::Dtc, &EngineConfig::default(), &a).unwrap();
-        let want = SpmmKernel::execute(&direct, &b).unwrap();
+        let want = direct.execute(&b).unwrap();
         let got = via_trait.execute(&b).unwrap();
         assert_eq!(want, got, "trait path must be bitwise-identical");
     }

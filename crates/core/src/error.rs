@@ -6,8 +6,10 @@
 //! fails in ways no format can express: admission queues overflow, engine
 //! pools run out of evictable slots, and per-request verification gates
 //! reject traces. [`DtcError`] is the single error the engine-level API
-//! ([`crate::SpmmEngine`], [`crate::IterativeSpmm`], `dtc-serve`) speaks;
-//! format problems arrive via `From<FormatError>` so `?` keeps working.
+//! ([`crate::prepare`], [`crate::DtcSpmm`], [`crate::IterativeSpmm`],
+//! `dtc-serve`) speaks; format problems, including those a
+//! [`crate::SpmmKernel`] returns, arrive via `From<FormatError>` so `?`
+//! keeps working.
 
 use dtc_formats::FormatError;
 use std::fmt;

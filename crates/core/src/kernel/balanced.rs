@@ -119,7 +119,7 @@ impl SpmmKernel for BalancedDtcKernel {
     }
 
     #[allow(clippy::needless_range_loop)] // `t` indexes three parallel structures
-    fn trace(&self, n: usize, device: &Device, record_b_addrs: bool) -> KernelTrace {
+    fn trace(&self, n: usize, device: &Device, record_b_addrs: bool) -> Arc<KernelTrace> {
         let metcf = self.metcf();
         let n_f = n as f64;
         let opts = self.inner.opts();
@@ -211,7 +211,7 @@ impl SpmmKernel for BalancedDtcKernel {
         }
         trace.assumed_l2_hit_rate =
             estimate_b_hit_rate(self.inner.distinct_cols(), total_b_sectors.max(1.0), n, device);
-        trace
+        Arc::new(trace)
     }
 }
 

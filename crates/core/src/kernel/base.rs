@@ -182,7 +182,7 @@ impl SpmmKernel for DtcKernel {
         Ok(execute_metcf(&self.metcf, b, self.precision))
     }
 
-    fn trace(&self, n: usize, device: &Device, record_b_addrs: bool) -> KernelTrace {
+    fn trace(&self, n: usize, device: &Device, record_b_addrs: bool) -> Arc<KernelTrace> {
         let n_f = n as f64;
         let mut trace = KernelTrace::new(DTC_OCCUPANCY, DTC_WARPS);
         trace.set_resources(KernelResources::dtc_spmm());
@@ -227,7 +227,7 @@ impl SpmmKernel for DtcKernel {
         }
         trace.assumed_l2_hit_rate =
             estimate_b_hit_rate(self.distinct_cols, total_b_sectors.max(1.0), n, device);
-        trace
+        Arc::new(trace)
     }
 }
 

@@ -59,7 +59,7 @@ pub use cache::{
     KeyMaterial,
 };
 pub use config::EngineConfig;
-pub use engine::{prepare, BaselineEngine, EngineKind, SpmmEngine};
+pub use engine::{prepare, EngineKind};
 pub use error::DtcError;
 pub use kernel::{BalancedDtcKernel, DtcKernel, KernelOpts};
 pub use pipeline::{DeltaOutcome, DeltaPolicy, DtcSpmm, DtcSpmmBuilder};

@@ -4,7 +4,6 @@
 
 use crate::cache::KeyMaterial;
 use crate::config::EngineConfig;
-use crate::engine::SpmmEngine;
 use crate::error::DtcError;
 use crate::kernel::{BalancedDtcKernel, DtcKernel, KernelOpts};
 use crate::selector::{KernelChoice, Selector, SelectorDecision};
@@ -256,7 +255,8 @@ pub struct DtcSpmm {
     decision: SelectorDecision,
     choice: KernelChoice,
     /// Identity of the source matrix (pre-reordering), reported through
-    /// [`SpmmEngine::key`] so serving pools recognize the matrix.
+    /// [`DtcSpmm::key`]; equals the serving pool's key for the request's
+    /// matrix.
     key: KeyMaterial,
     /// Identity of the *working* (post-reordering) matrix — the one the
     /// conversion cache is keyed on. Equals `key` when reordering is off.
@@ -266,8 +266,8 @@ pub struct DtcSpmm {
     config: EngineConfig,
     /// Memoized kernel traces, keyed by (N, device fingerprint,
     /// record_b_addrs): repeated `simulate` calls on one engine re-lower
-    /// the kernel zero times.
-    trace_cache: Mutex<HashMap<TraceKey, KernelTrace>>,
+    /// the kernel zero times, and a hit hands out the resident trace.
+    trace_cache: Mutex<HashMap<TraceKey, Arc<KernelTrace>>>,
 }
 
 impl DtcSpmm {
@@ -311,46 +311,19 @@ impl DtcSpmm {
         &self.key
     }
 
-    // Inherent mirrors of the shared surface. `DtcSpmm` implements both
-    // `SpmmKernel` (kernel-level, `FormatError`) and `SpmmEngine`
-    // (engine-level, `DtcError`); inherent methods win method resolution,
-    // so call sites with both traits in scope stay unambiguous.
-
     /// Display name of the chosen kernel.
     pub fn name(&self) -> &str {
-        SpmmKernel::name(self)
-    }
-
-    /// Rows of the sparse operand.
-    pub fn rows(&self) -> usize {
-        self.kernel.as_kernel().rows()
-    }
-
-    /// Columns of the sparse operand.
-    pub fn cols(&self) -> usize {
-        self.kernel.as_kernel().cols()
-    }
-
-    /// Structural non-zeros of the sparse operand.
-    pub fn nnz(&self) -> usize {
-        self.kernel.as_kernel().nnz()
-    }
-
-    /// Simulated performance for an `N`-column dense operand.
-    pub fn simulate(&self, n: usize, device: &Device) -> dtc_sim::SimReport {
-        SpmmKernel::simulate(self, n, device)
-    }
-
-    /// Lowered per-thread-block trace for an `N`-column dense operand.
-    pub fn trace(&self, n: usize, device: &Device, record_b_addrs: bool) -> KernelTrace {
-        SpmmKernel::trace(self, n, device, record_b_addrs)
+        match self.choice {
+            KernelChoice::Base => "DTC-SpMM",
+            KernelChoice::Balanced => "DTC-SpMM-balanced",
+        }
     }
 
     /// Exact SpMM `C = A × B`, returning the unified [`DtcError`].
     ///
-    /// This inherent method is the engine-level entry point (it shadows
-    /// the [`SpmmKernel`] trait method of the same name, which keeps the
-    /// kernel-level [`FormatError`] signature for `dyn SpmmKernel` users).
+    /// This inherent method shadows the [`SpmmKernel`] trait method of the
+    /// same name, which keeps the kernel-level [`FormatError`] signature
+    /// for `dyn SpmmKernel` users.
     ///
     /// # Errors
     ///
@@ -403,21 +376,26 @@ impl DtcSpmm {
     ) -> Result<DeltaOutcome, DtcError> {
         let _span = dtc_telemetry::span("pipeline.delta");
         // Remap edit rows into the engine's internal (reordered) row space.
+        // The inverse permutation is built once: it also keys the
+        // original-order matrix below.
+        let inv: Option<Vec<usize>> = self.perm.as_deref().map(|perm| {
+            let mut inv = vec![0usize; perm.len()];
+            for (new_row, &orig_row) in perm.iter().enumerate() {
+                inv[orig_row] = new_row;
+            }
+            inv
+        });
         let remapped;
-        let effective: &MatrixDelta = match &self.perm {
+        let effective: &MatrixDelta = match &inv {
             None => delta,
-            Some(perm) => {
-                let mut inv = vec![0usize; perm.len()];
-                for (new_row, &orig_row) in perm.iter().enumerate() {
-                    inv[orig_row] = new_row;
-                }
+            Some(inv) => {
                 let mut d = MatrixDelta::new();
                 for (row, col, op) in delta.iter() {
                     let Some(&new_row) = inv.get(row) else {
                         return Err(DtcError::Format(FormatError::IndexOutOfBounds {
                             row,
                             col,
-                            rows: perm.len(),
+                            rows: inv.len(),
                             cols: self.cols(),
                         }));
                     };
@@ -456,16 +434,12 @@ impl DtcSpmm {
         // than a rebuild. Reordered engines still pay one `to_csr` to key
         // the original-order matrix.
         let new_working_key = KeyMaterial::of_metcf(&patched);
-        let new_key = match &self.perm {
+        let new_key = match &inv {
             None => new_working_key.clone(),
-            Some(perm) => {
+            Some(inv) => {
                 let working =
                     patched.to_csr().expect("a packed ME-TCF reconstructs a valid CSR matrix");
-                let mut inv = vec![0usize; perm.len()];
-                for (new_row, &orig_row) in perm.iter().enumerate() {
-                    inv[orig_row] = new_row;
-                }
-                KeyMaterial::of(&working.permute_rows(&inv))
+                KeyMaterial::of(&working.permute_rows(inv))
             }
         };
         let distinct = patched.distinct_cols();
@@ -515,10 +489,7 @@ impl DtcSpmm {
 
 impl SpmmKernel for DtcSpmm {
     fn name(&self) -> &str {
-        match self.choice {
-            KernelChoice::Base => "DTC-SpMM",
-            KernelChoice::Balanced => "DTC-SpMM-balanced",
-        }
+        DtcSpmm::name(self)
     }
 
     fn rows(&self) -> usize {
@@ -537,50 +508,20 @@ impl SpmmKernel for DtcSpmm {
         self.execute_inner(b)
     }
 
-    fn trace(&self, n: usize, device: &Device, record_b_addrs: bool) -> KernelTrace {
+    fn trace(&self, n: usize, device: &Device, record_b_addrs: bool) -> Arc<KernelTrace> {
         // Structural fingerprint (not a Debug-string hash): stable under
         // field reordering and allocation-free, so a modified clone of a
         // preset never aliases the preset's cached traces.
         let key = (n, device.fingerprint(), record_b_addrs);
         if let Some(hit) = self.trace_cache.lock().unwrap().get(&key) {
             crate::telemetry::trace_cache_hits().incr();
-            return hit.clone();
+            return Arc::clone(hit);
         }
         crate::telemetry::trace_cache_misses().incr();
         let _lower = dtc_telemetry::span("pipeline.trace");
         let trace = self.kernel.as_kernel().trace(n, device, record_b_addrs);
-        self.trace_cache.lock().unwrap().insert(key, trace.clone());
+        self.trace_cache.lock().unwrap().insert(key, Arc::clone(&trace));
         trace
-    }
-}
-
-impl SpmmEngine for DtcSpmm {
-    fn name(&self) -> &str {
-        SpmmKernel::name(self)
-    }
-
-    fn rows(&self) -> usize {
-        SpmmKernel::rows(self)
-    }
-
-    fn cols(&self) -> usize {
-        SpmmKernel::cols(self)
-    }
-
-    fn nnz(&self) -> usize {
-        SpmmKernel::nnz(self)
-    }
-
-    fn key(&self) -> &KeyMaterial {
-        &self.key
-    }
-
-    fn execute(&self, b: &DenseMatrix) -> Result<DenseMatrix, DtcError> {
-        DtcSpmm::execute(self, b)
-    }
-
-    fn trace(&self, n: usize, device: &Device, record_b_addrs: bool) -> KernelTrace {
-        SpmmKernel::trace(self, n, device, record_b_addrs)
     }
 }
 
@@ -825,6 +766,27 @@ mod tests {
         let fresh = DtcSpmm::new(&delta.apply_to_csr(&a).unwrap());
         let fresh_trace = fresh.trace(32, &device, false);
         assert_eq!(post.iter_tbs().count(), fresh_trace.iter_tbs().count());
+    }
+
+    #[test]
+    fn repeated_trace_shares_one_resident_copy() {
+        // One resident trace: a cache hit hands out the memoized `Arc`,
+        // never a clone. Each (N, device) gets its own trace, and an edit
+        // purges them all, so the next call re-lowers.
+        let a = uniform(224, 224, 1600, 218);
+        let device = Device::rtx4090();
+        let mut engine = DtcSpmm::new(&a);
+        let first = engine.trace(32, &device, false);
+        assert!(Arc::ptr_eq(&first, &engine.trace(32, &device, false)), "hit must share");
+        assert!(!Arc::ptr_eq(&first, &engine.trace(64, &device, false)));
+        let mut tweaked = device.clone();
+        tweaked.sm_clock_ghz /= 2.0;
+        assert!(!Arc::ptr_eq(&first, &engine.trace(32, &tweaked, false)));
+        let mut delta = MatrixDelta::new();
+        delta.insert(3, 17, 1.0);
+        engine.apply_delta(&delta, &DeltaPolicy::default()).unwrap();
+        let post = engine.trace(32, &device, false);
+        assert!(!Arc::ptr_eq(&first, &post), "an edit must purge the memoized trace");
     }
 
     #[test]

@@ -14,15 +14,13 @@
 //! break-even iteration count against the conversion-free cuSPARSE
 //! baseline, recommending an engine for a given workload length.
 
-use crate::cache::KeyMaterial;
 use crate::config::EngineConfig;
 use crate::convert::simulated_gpu_conversion_ms_for;
-use crate::engine::SpmmEngine;
 use crate::error::DtcError;
 use crate::{DtcSpmm, SpmmKernel};
 use dtc_baselines::CusparseSpmm;
 use dtc_formats::{CsrMatrix, DenseMatrix, Precision};
-use dtc_sim::{Device, KernelTrace};
+use dtc_sim::Device;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Which engine the amortization analysis recommends.
@@ -79,7 +77,7 @@ impl AmortizationReport {
 #[derive(Default)]
 pub struct IterativeSpmmBuilder {
     config: EngineConfig,
-    baseline: Option<Box<dyn SpmmKernel + Send + Sync>>,
+    baseline: Option<Box<dyn SpmmKernel>>,
 }
 
 impl std::fmt::Debug for IterativeSpmmBuilder {
@@ -123,7 +121,7 @@ impl IterativeSpmmBuilder {
 
     /// Replaces the comparator baseline the amortization analysis races
     /// against (default: [`CusparseSpmm`] over the same matrix).
-    pub fn baseline(mut self, baseline: Box<dyn SpmmKernel + Send + Sync>) -> Self {
+    pub fn baseline(mut self, baseline: Box<dyn SpmmKernel>) -> Self {
         self.baseline = Some(baseline);
         self
     }
@@ -140,11 +138,11 @@ impl IterativeSpmmBuilder {
 /// A fixed-matrix SpMM session: conversion happens once, every
 /// [`IterativeSpmm::execute`] reuses it.
 ///
-/// The run counter is atomic so `execute` takes `&self` — a pooled session
-/// can serve concurrent requests through the [`SpmmEngine`] trait.
+/// The run counter is atomic so `execute` takes `&self` — one shared
+/// session can serve concurrent callers.
 pub struct IterativeSpmm {
     engine: DtcSpmm,
-    baseline: Box<dyn SpmmKernel + Send + Sync>,
+    baseline: Box<dyn SpmmKernel>,
     device: Device,
     runs: AtomicU64,
 }
@@ -182,19 +180,20 @@ impl IterativeSpmm {
         self.baseline.as_ref()
     }
 
-    /// Number of SpMMs executed so far.
+    /// Number of SpMMs executed successfully so far.
     pub fn runs(&self) -> u64 {
         self.runs.load(Ordering::Relaxed)
     }
 
-    /// Executes one SpMM iteration.
+    /// Executes one SpMM iteration; only a successful call counts as a run.
     ///
     /// # Errors
     ///
     /// Propagates dimension mismatches as [`DtcError::Format`].
     pub fn execute(&self, b: &DenseMatrix) -> Result<DenseMatrix, DtcError> {
+        let c = self.engine.execute(b)?;
         self.runs.fetch_add(1, Ordering::Relaxed);
-        self.engine.execute(b)
+        Ok(c)
     }
 
     /// Computes the §6 amortization analysis for `n` dense columns.
@@ -220,36 +219,6 @@ impl IterativeSpmm {
     }
 }
 
-impl SpmmEngine for IterativeSpmm {
-    fn name(&self) -> &str {
-        SpmmKernel::name(&self.engine)
-    }
-
-    fn rows(&self) -> usize {
-        SpmmKernel::rows(&self.engine)
-    }
-
-    fn cols(&self) -> usize {
-        SpmmKernel::cols(&self.engine)
-    }
-
-    fn nnz(&self) -> usize {
-        SpmmKernel::nnz(&self.engine)
-    }
-
-    fn key(&self) -> &KeyMaterial {
-        self.engine.key()
-    }
-
-    fn execute(&self, b: &DenseMatrix) -> Result<DenseMatrix, DtcError> {
-        IterativeSpmm::execute(self, b)
-    }
-
-    fn trace(&self, n: usize, device: &Device, record_b_addrs: bool) -> KernelTrace {
-        SpmmKernel::trace(&self.engine, n, device, record_b_addrs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,6 +236,16 @@ mod tests {
         }
         assert_eq!(session.runs(), 3);
         assert!(session.simulated_total_ms(16) > 0.0);
+    }
+
+    #[test]
+    fn failed_execute_is_not_counted_as_a_run() {
+        let a = web(256, 256, 8.0, 2.1, 0.7, 46);
+        let session = IterativeSpmm::new(&a, Device::rtx4090());
+        let wrong_height = DenseMatrix::ones(255, 8);
+        let err = session.execute(&wrong_height).unwrap_err();
+        assert!(matches!(err, DtcError::Format(_)), "{err:?}");
+        assert_eq!(session.runs(), 0, "a failed call must not count as a run");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! `dtc-serve` — a multi-tenant SpMM serving layer over the unified
-//! [`SpmmEngine`](dtc_core::SpmmEngine) trait.
+//! `dtc-serve` — a multi-tenant SpMM serving layer over the workspace's
+//! one execution trait, [`SpmmKernel`](dtc_core::SpmmKernel).
 //!
 //! DTC-SpMM's preprocessing (ME-TCF conversion, optional reordering,
 //! kernel selection) is worth paying **once per matrix**, not once per

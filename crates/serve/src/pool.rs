@@ -1,4 +1,5 @@
-//! The keyed engine pool: prepared [`SpmmEngine`]s cached across requests.
+//! The keyed engine pool: prepared [`SpmmKernel`] engines cached across
+//! requests.
 //!
 //! Pool identity is the triple the paper's amortization argument needs:
 //! *which matrix* ([`KeyMaterial`], the conversion-cache identity from
@@ -20,7 +21,7 @@
 //! pinned and the pool is full, a new key is refused with
 //! [`DtcError::PoolExhausted`] rather than thrashing a cold engine.
 
-use dtc_core::{DtcError, EngineConfig, EngineKind, KeyMaterial, SpmmEngine};
+use dtc_core::{DtcError, EngineConfig, EngineKind, KeyMaterial, SpmmKernel};
 use dtc_par::hash::fnv1a;
 use dtc_verify::PoolEvent;
 use std::collections::HashMap;
@@ -92,7 +93,6 @@ impl PoolKey {
     pub fn primary(&self) -> u64 {
         let kind = match self.kind {
             EngineKind::Dtc => 1u64,
-            EngineKind::Iterative => 2,
             EngineKind::Cusparse => 3,
             EngineKind::Sputnik => 4,
             EngineKind::Tcgnn => 5,
@@ -122,7 +122,7 @@ impl Default for PoolConfig {
     }
 }
 
-type EngineCell = Arc<OnceLock<Result<Arc<dyn SpmmEngine>, DtcError>>>;
+type EngineCell = Arc<OnceLock<Result<Arc<dyn SpmmKernel>, DtcError>>>;
 
 /// One resident entry.
 struct Slot {
@@ -144,7 +144,7 @@ struct Inner {
 /// already resident.
 pub struct Fetched {
     /// The prepared engine (shared: the pool keeps its own reference).
-    pub engine: Arc<dyn SpmmEngine>,
+    pub engine: Arc<dyn SpmmKernel>,
     /// `true` when the engine was already resident (no prepare paid).
     pub hit: bool,
 }
@@ -202,7 +202,7 @@ impl EnginePool {
     pub fn get_or_prepare(
         &self,
         key: PoolKey,
-        build: impl FnOnce() -> Result<Box<dyn SpmmEngine>, DtcError>,
+        build: impl FnOnce() -> Result<Box<dyn SpmmKernel>, DtcError>,
     ) -> Result<Fetched, DtcError> {
         let (cell, hit) = {
             let mut inner = self.inner.lock().unwrap();
@@ -313,7 +313,7 @@ mod tests {
     fn prepare_dtc<'a>(
         a: &'a CsrMatrix,
         config: &EngineConfig,
-    ) -> impl FnOnce() -> Result<Box<dyn SpmmEngine>, DtcError> + 'a {
+    ) -> impl FnOnce() -> Result<Box<dyn SpmmKernel>, DtcError> + 'a {
         let config = config.clone();
         move || dtc_core::prepare(EngineKind::Dtc, &config, a)
     }

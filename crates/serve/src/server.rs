@@ -18,7 +18,7 @@
 
 use crate::pool::{EnginePool, PoolKey};
 use crate::ServeConfig;
-use dtc_core::{DtcError, EngineConfig, EngineKind, KeyMaterial, SpmmEngine};
+use dtc_core::{DtcError, EngineConfig, EngineKind, KeyMaterial, SpmmKernel};
 use dtc_formats::{CsrMatrix, DenseMatrix};
 use dtc_par::ShardPlan;
 use dtc_verify::{SchedCase, Severity, TraceCase};
@@ -44,7 +44,7 @@ use std::sync::{Arc, Mutex};
 /// check behaves exactly like a failed prepare: the error surfaces to the
 /// requesting batch and nothing is cached — a later request under a fixed
 /// configuration retries cleanly.
-pub fn admission_check(engine: &dyn SpmmEngine, config: &EngineConfig) -> Result<(), DtcError> {
+pub fn admission_check(engine: &dyn SpmmKernel, config: &EngineConfig) -> Result<(), DtcError> {
     let _span = dtc_telemetry::span("serve.admission_check");
     const PROBE_COLS: usize = 8;
     let trace = engine.trace(PROBE_COLS, &config.device, false);
@@ -277,7 +277,7 @@ impl SpmmServer {
     /// resource lints over the engine's lowered trace for this batch width.
     fn verify_gate(
         &self,
-        engine: &dyn SpmmEngine,
+        engine: &dyn SpmmKernel,
         n: usize,
         config: &EngineConfig,
     ) -> Result<(), DtcError> {

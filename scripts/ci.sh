@@ -6,6 +6,9 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release"
 cargo build --release --workspace
 
+echo "== perfbench build (its own workspace; --workspace steps never compile it)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== cargo test"
 cargo test -q --workspace
 

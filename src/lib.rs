@@ -29,12 +29,12 @@
 //!   shrinking to minimal reproducers);
 //! - [`serve`] — the multi-tenant serving layer: keyed engine pool,
 //!   admission/coalescing server and closed-loop load generator over the
-//!   unified [`SpmmEngine`](dtc_core::SpmmEngine) trait.
+//!   one execution trait, [`SpmmKernel`](dtc_core::SpmmKernel).
 //!
 //! # Quickstart
 //!
 //! ```
-//! use dtc_spmm::core::{prepare, EngineConfig, EngineKind, SpmmEngine};
+//! use dtc_spmm::core::{prepare, EngineConfig, EngineKind, SpmmKernel};
 //! use dtc_spmm::formats::{gen::power_law, DenseMatrix};
 //! use dtc_spmm::sim::Device;
 //!
@@ -43,7 +43,7 @@
 //! let a = power_law(512, 512, 8.0, 2.2, 42);
 //! let b = DenseMatrix::ones(512, 128);
 //!
-//! // Prepare once behind the unified engine trait — reorder, convert to
+//! // Prepare once behind the one execution trait — reorder, convert to
 //! // ME-TCF, select a kernel — then execute as often as needed.
 //! let config = EngineConfig { reorder: true, ..EngineConfig::default() };
 //! let engine = prepare(EngineKind::Dtc, &config, &a)?;

@@ -5,8 +5,10 @@
 //! The conversion cache and the telemetry registry are process-wide, so
 //! tests that measure their counters serialize on one mutex.
 
+use dtc_spmm::baselines::{CusparseSpmm, SputnikSpmm, TcgnnSpmm};
 use dtc_spmm::core::{
     conversion_cache_stats, prepare, DtcError, DtcSpmm, EngineConfig, EngineKind, KeyMaterial,
+    SpmmKernel,
 };
 use dtc_spmm::formats::{gen, CsrMatrix, DenseMatrix};
 use dtc_spmm::serve::{EnginePool, PoolConfig, PoolKey, Request, ServeConfig, SpmmServer};
@@ -140,17 +142,16 @@ fn trait_dispatch_is_bitwise_identical() {
     let a = gen::power_law(128, 128, 7.0, 2.3, 0x7777);
     let b = dense_for(&a, 16, 9);
     let config = EngineConfig::default();
-    for kind in [EngineKind::Dtc, EngineKind::Iterative, EngineKind::Cusparse, EngineKind::Sputnik]
-    {
+    let direct: [(EngineKind, DenseMatrix); 4] = [
+        (EngineKind::Dtc, DtcSpmm::builder().config(config.clone()).build(&a).execute(&b).unwrap()),
+        (EngineKind::Cusparse, CusparseSpmm::new(&a).execute(&b).unwrap()),
+        (EngineKind::Sputnik, SputnikSpmm::new(&a).unwrap().execute(&b).unwrap()),
+        (EngineKind::Tcgnn, TcgnnSpmm::new(&a).unwrap().execute(&b).unwrap()),
+    ];
+    for (kind, want) in direct {
         let engine = prepare(kind, &config, &a).expect("prepare failed");
         let via_trait = engine.execute(&b).expect("trait execute failed");
-        let direct = DtcSpmm::builder().config(config.clone()).build(&a).execute(&b).unwrap();
-        if matches!(kind, EngineKind::Dtc) {
-            assert_eq!(via_trait.as_slice(), direct.as_slice(), "{kind:?} differs from direct");
-        }
-        // Engines expose the source matrix as their identity regardless of
-        // internal reordering or format.
-        assert_eq!(engine.key(), &KeyMaterial::of(&a), "{kind:?} key mismatch");
+        assert_eq!(via_trait.as_slice(), want.as_slice(), "{kind:?} differs from direct");
         assert_eq!((engine.rows(), engine.cols()), (a.rows(), a.cols()));
     }
 }

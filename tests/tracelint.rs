@@ -112,7 +112,7 @@ fn has_error(trace: &KernelTrace, lint: LintId) -> bool {
 /// A legal DTC-shaped trace to mutate.
 fn healthy_trace() -> KernelTrace {
     let a = power_law(96, 96, 6.0, 2.2, 7);
-    DtcKernel::new(&a).trace(64, &Device::rtx4090(), true)
+    std::sync::Arc::unwrap_or_clone(DtcKernel::new(&a).trace(64, &Device::rtx4090(), true))
 }
 
 #[test]
