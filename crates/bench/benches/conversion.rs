@@ -1,8 +1,7 @@
 //! Criterion benches for format conversion (§6 overhead path): SGT
-//! condensing, CSR → ME-TCF (sequential vs parallel), TCF, BELL, CVSE.
+//! condensing, CSR → ME-TCF, TCF, BELL, CVSE.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dtc_core::convert::convert_to_metcf_parallel;
 use dtc_formats::{gen, BellMatrix, Condensed, CvseMatrix, MeTcfMatrix, TcfMatrix};
 use std::hint::black_box;
 
@@ -10,10 +9,7 @@ fn bench_conversions(c: &mut Criterion) {
     let a = gen::web(8192, 8192, 10.0, 2.1, 0.7, 11);
     let mut group = c.benchmark_group("convert_8192x8192");
     group.bench_function("sgt_condense", |b| b.iter(|| black_box(Condensed::from_csr(&a))));
-    group.bench_function("metcf_seq", |b| b.iter(|| black_box(MeTcfMatrix::from_csr(&a))));
-    group.bench_function("metcf_par4", |b| {
-        b.iter(|| black_box(convert_to_metcf_parallel(&a, 4).expect("within u32 bounds")))
-    });
+    group.bench_function("metcf", |b| b.iter(|| black_box(MeTcfMatrix::from_csr(&a))));
     group.bench_function("tcf", |b| b.iter(|| black_box(TcfMatrix::from_csr(&a).expect("square"))));
     group.bench_function("bell32", |b| {
         b.iter(|| black_box(BellMatrix::from_csr(&a, 32, u64::MAX).expect("fits")))

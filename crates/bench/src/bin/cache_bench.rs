@@ -12,8 +12,9 @@
 //!   cycling classes, with the front-tier hit rate.
 //!
 //! Reports ns/lookup (best of several repeats) and writes
-//! `BENCH_cache.json`. Every run first pins that a crafted same-slot
-//! front-tier collision is verify-rejected, never cross-served.
+//! `BENCH_cache.json` (`BENCH_cache_smoke.json` under `--smoke`). Every
+//! run first pins that a crafted same-slot front-tier collision is
+//! verify-rejected, never cross-served.
 //!
 //! Gates (smoke and full): warm conversion lookup ≤ 1.15x the bare key
 //! pass at W=1 and W=8; intern two-tier ns/lookup ≤ exact-only at steady
@@ -309,6 +310,7 @@ fn main() {
         ),
     ])
     .render();
-    std::fs::write("BENCH_cache.json", &json).expect("write BENCH_cache.json");
-    println!("\nwrote BENCH_cache.json");
+    let artifact = if smoke { "BENCH_cache_smoke.json" } else { "BENCH_cache.json" };
+    std::fs::write(artifact, &json).expect("write cache artifact");
+    println!("\nwrote {artifact}");
 }

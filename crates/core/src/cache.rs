@@ -20,20 +20,10 @@ use crate::error::DtcError;
 use crate::telemetry::{
     conversion_cache_hits, conversion_cache_invalidations, conversion_cache_misses,
 };
-use dtc_formats::{CsrMatrix, MeTcfMatrix, BLOCK_WIDTH, WINDOW_HEIGHT};
-use dtc_par::hash::{fnv1a, fnv1a_slice, Fnv1a};
+use dtc_formats::{CsrMatrix, MeTcfMatrix};
+use dtc_par::hash::{fnv1a, fnv1a_slice};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// One cached conversion: the ME-TCF build plus the distinct-column count
-/// the L2 model needs (both derived from the same CSR walk).
-#[derive(Debug)]
-pub struct CachedConversion {
-    /// The converted matrix, shared with every engine built from it.
-    pub metcf: Arc<MeTcfMatrix>,
-    /// Number of distinct columns of the source matrix.
-    pub distinct_cols: usize,
-}
 
 /// Matrix identity: the conversion cache's key, the identity a built
 /// engine reports through [`crate::DtcSpmm::key`], and the matrix part of
@@ -56,86 +46,37 @@ impl KeyMaterial {
     /// Computes the identity material of a matrix (three chunked-parallel
     /// checksum passes; digests are independent of `DTC_THREADS`).
     pub fn of(a: &CsrMatrix) -> Self {
-        // Distinct offset bases decorrelate the three checksums (all use
-        // the same FNV prime).
-        KeyMaterial {
-            rows: a.rows(),
-            cols: a.cols(),
-            nnz: a.nnz(),
-            row_ptr_sum: fnv1a_slice(0x6c62_272e_07bb_0142, a.row_ptr(), |&p| p as u64),
-            col_idx_sum: fnv1a_slice(0xdead_beef_cafe_f00d, a.col_idx(), |&c| c as u64),
-            value_sum: fnv1a_slice(0x0123_4567_89ab_cdef, a.values(), |v| v.to_bits() as u64),
-        }
+        Self::of_arrays(a.rows(), a.cols(), a.row_ptr(), a.col_idx(), a.values())
     }
 
     /// Computes the identity material of an ME-TCF matrix, bit-identical
-    /// to [`KeyMaterial::of`] over its reconstructed CSR form — but
-    /// without the triplet sort a full [`MeTcfMatrix::to_csr`] rebuild
-    /// would pay, so a matrix patched in place by `apply_delta` keys
-    /// identically to a fresh conversion of the edited CSR at a fraction
-    /// of the cost. Pinned by `of_metcf_matches_of_over_the_roundtripped_csr`.
-    ///
-    /// Small matrices (every array at or below `fnv1a_slice`'s 64 Ki
-    /// chunk, where that function is a plain serial fold) hash the three
-    /// CSR-order streams straight out of the per-window row buckets with
-    /// nothing materialized. Larger ones materialize via
-    /// [`MeTcfMatrix::csr_arrays`] and defer to [`fnv1a_slice`], whose
-    /// chunked-parallel digest a streaming fold could not reproduce.
+    /// to [`KeyMaterial::of`] over its reconstructed CSR form: it hashes
+    /// [`MeTcfMatrix::csr_arrays`], which decodes window by window without
+    /// the triplet sort a full [`MeTcfMatrix::to_csr`] rebuild would pay.
+    /// So a matrix patched in place by `apply_delta` keys identically to a
+    /// fresh conversion of the edited CSR. Pinned by
+    /// `of_metcf_matches_of_over_the_roundtripped_csr`.
     pub fn of_metcf(m: &MeTcfMatrix) -> Self {
-        const CHUNK: usize = 64 * 1024; // fnv1a_slice's serial/chunked split
-        let (rows, cols, nnz) = (m.rows(), m.cols(), m.nnz());
-        if rows + 1 > CHUNK || nnz > CHUNK {
-            let (row_ptr, col_idx, values) = m.csr_arrays();
-            return KeyMaterial {
-                rows,
-                cols,
-                nnz,
-                row_ptr_sum: fnv1a_slice(0x6c62_272e_07bb_0142, &row_ptr, |&p| p as u64),
-                col_idx_sum: fnv1a_slice(0xdead_beef_cafe_f00d, &col_idx, |&c| c as u64),
-                value_sum: fnv1a_slice(0x0123_4567_89ab_cdef, &values, |v| v.to_bits() as u64),
-            };
-        }
-        let mut row_hash = Fnv1a::with_seed(0x6c62_272e_07bb_0142);
-        let mut col_hash = Fnv1a::with_seed(0xdead_beef_cafe_f00d);
-        let mut val_hash = Fnv1a::with_seed(0x0123_4567_89ab_cdef);
-        row_hash.word(0); // row_ptr[0]
-                          // Same per-window bucketing pass as `MeTcfMatrix::csr_arrays`,
-                          // folded straight into the hashers instead of materialized.
-        let mut buckets: [Vec<(u32, u32)>; WINDOW_HEIGHT] = Default::default();
-        let mut prefix = 0u64;
-        for w in 0..m.num_windows() {
-            for bucket in &mut buckets {
-                bucket.clear();
-            }
-            for t in m.window_blocks(w) {
-                let bcols = m.block_cols(t);
-                let (ids, vals) = m.block_entries(t);
-                for (&id, &v) in ids.iter().zip(vals) {
-                    let local_row = (id / BLOCK_WIDTH as u8) as usize;
-                    let local_col = (id % BLOCK_WIDTH as u8) as usize;
-                    buckets[local_row].push((bcols[local_col], v.to_bits()));
-                }
-            }
-            let base = w * WINDOW_HEIGHT;
-            for (local_row, bucket) in buckets.iter().enumerate() {
-                if base + local_row >= rows {
-                    break;
-                }
-                prefix += bucket.len() as u64;
-                row_hash.word(prefix);
-                for &(c, bits) in bucket {
-                    col_hash.word(c as u64);
-                    val_hash.word(bits as u64);
-                }
-            }
-        }
+        let (row_ptr, col_idx, values) = m.csr_arrays();
+        Self::of_arrays(m.rows(), m.cols(), &row_ptr, &col_idx, &values)
+    }
+
+    fn of_arrays(
+        rows: usize,
+        cols: usize,
+        row_ptr: &[usize],
+        col_idx: &[u32],
+        values: &[f32],
+    ) -> Self {
+        // Distinct offset bases decorrelate the three checksums (all use
+        // the same FNV prime).
         KeyMaterial {
             rows,
             cols,
-            nnz,
-            row_ptr_sum: row_hash.finish(),
-            col_idx_sum: col_hash.finish(),
-            value_sum: val_hash.finish(),
+            nnz: col_idx.len(),
+            row_ptr_sum: fnv1a_slice(0x6c62_272e_07bb_0142, row_ptr, |&p| p as u64),
+            col_idx_sum: fnv1a_slice(0xdead_beef_cafe_f00d, col_idx, |&c| c as u64),
+            value_sum: fnv1a_slice(0x0123_4567_89ab_cdef, values, |v| v.to_bits() as u64),
         }
     }
 
@@ -178,7 +119,7 @@ impl KeyMaterial {
 /// and keeps the bookkeeping trivial).
 const CACHE_CAP: usize = 64;
 
-type Store = HashMap<KeyMaterial, Arc<CachedConversion>>;
+type Store = HashMap<KeyMaterial, Arc<MeTcfMatrix>>;
 
 static CACHE: OnceLock<Mutex<Store>> = OnceLock::new();
 
@@ -186,14 +127,13 @@ fn cache() -> &'static Mutex<Store> {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Files `conversion` under `material`, clearing the store first if it is
-/// full.
-fn insert(material: KeyMaterial, conversion: Arc<CachedConversion>) {
+/// Files `metcf` under `material`, clearing the store first if it is full.
+fn insert(material: KeyMaterial, metcf: Arc<MeTcfMatrix>) {
     let mut c = cache().lock().unwrap();
     if c.len() >= CACHE_CAP {
         c.clear();
     }
-    c.insert(material, conversion);
+    c.insert(material, metcf);
 }
 
 /// Returns the cached conversion for `a`, converting (and inserting) on
@@ -203,24 +143,25 @@ fn insert(material: KeyMaterial, conversion: Arc<CachedConversion>) {
 ///
 /// Propagates the converter's `u32` offset-overflow guard
 /// ([`DtcError::Format`]); nothing is cached on error.
-pub fn metcf_for(a: &CsrMatrix) -> Result<Arc<CachedConversion>, DtcError> {
-    let material = KeyMaterial::of(a);
-    if let Some(hit) = cache().lock().unwrap().get(&material) {
+pub fn metcf_for(a: &CsrMatrix) -> Result<Arc<MeTcfMatrix>, DtcError> {
+    metcf_for_key(a, &KeyMaterial::of(a))
+}
+
+/// [`metcf_for`] with `a`'s identity already computed (`material` must be
+/// `KeyMaterial::of(a)`), so a pipeline build keys its matrix once.
+pub(crate) fn metcf_for_key(
+    a: &CsrMatrix,
+    material: &KeyMaterial,
+) -> Result<Arc<MeTcfMatrix>, DtcError> {
+    if let Some(hit) = cache().lock().unwrap().get(material) {
         conversion_cache_hits().incr();
         return Ok(Arc::clone(hit));
     }
     conversion_cache_misses().incr();
     // Convert outside the lock: conversion fans out over worker threads and
-    // other engines' lookups should not wait on it. The parallel converter
-    // packs per-range sub-matrices inside the fan-out (bit-identical to
-    // `MeTcfMatrix::from_csr`, pinned by the convert tests) — the plain
-    // `from_csr` path condenses in parallel but packed serially, which
-    // Amdahl-capped every cold engine build.
-    let built = Arc::new(CachedConversion {
-        metcf: Arc::new(crate::convert::convert_to_metcf_parallel(a, dtc_par::num_threads())?),
-        distinct_cols: dtc_baselines::util::distinct_col_count(a),
-    });
-    insert(material, Arc::clone(&built));
+    // other engines' lookups should not wait on it.
+    let built = Arc::new(crate::convert::convert_to_metcf_parallel(a, dtc_par::num_threads())?);
+    insert(material.clone(), Arc::clone(&built));
     Ok(built)
 }
 
@@ -246,8 +187,8 @@ pub fn invalidate_conversion(material: &KeyMaterial) -> usize {
 /// packing is a pure function of the CSR content and the delta path is
 /// bitwise-identical to a rebuild, so the seeded entry equals what a cold
 /// conversion of `a` would compute.
-pub fn admit_conversion(a: &CsrMatrix, conversion: Arc<CachedConversion>) {
-    insert(KeyMaterial::of(a), conversion);
+pub fn admit_conversion(a: &CsrMatrix, metcf: Arc<MeTcfMatrix>) {
+    insert(KeyMaterial::of(a), metcf);
 }
 
 /// `(hits, misses)` of the process-wide conversion cache — a thin wrapper
@@ -306,10 +247,7 @@ mod tests {
         // Seeding an externally built conversion makes the next lookup hit
         // without converting.
         invalidate_conversion(&material);
-        let seeded = Arc::new(CachedConversion {
-            metcf: Arc::new(MeTcfMatrix::from_csr(&a)),
-            distinct_cols: dtc_baselines::util::distinct_col_count(&a),
-        });
+        let seeded = Arc::new(MeTcfMatrix::from_csr(&a));
         admit_conversion(&a, Arc::clone(&seeded));
         let (_, misses2) = conversion_cache_stats();
         let hit = metcf_for(&a).unwrap();
@@ -323,7 +261,7 @@ mod tests {
         // other consumer keys the CSR with `of`; the two must agree bit
         // for bit or a post-edit lookup could serve a pre-edit artifact.
         // The last case crosses fnv1a_slice's 64 Ki chunk boundary, so it
-        // exercises the materializing fallback, not the streaming fold.
+        // exercises the chunked-parallel digest.
         for (rows, cols, nnz, seed) in [
             (16, 16, 0, 1u64),
             (33, 40, 90, 2),
@@ -353,7 +291,6 @@ mod tests {
     fn cached_conversion_matches_direct() {
         let a = uniform(200, 150, 1200, 323);
         let cached = metcf_for(&a).unwrap();
-        assert_eq!(*cached.metcf, MeTcfMatrix::from_csr(&a));
-        assert_eq!(cached.distinct_cols, dtc_baselines::util::distinct_col_count(&a));
+        assert_eq!(*cached, MeTcfMatrix::from_csr(&a));
     }
 }

@@ -8,7 +8,7 @@
 //! so that the §6 overhead ratios can be reproduced.
 
 use crate::error::DtcError;
-use dtc_formats::{Condensed, CsrMatrix, FormatError, MeTcfMatrix, WINDOW_HEIGHT};
+use dtc_formats::{CsrMatrix, MeTcfMatrix, WINDOW_HEIGHT};
 use std::time::{Duration, Instant};
 
 /// Result of a timed conversion.
@@ -22,12 +22,12 @@ pub struct ConversionReport {
     pub simulated_gpu_ms: f64,
 }
 
-/// Converts CSR to ME-TCF using `threads` worker threads over row windows.
+/// Converts CSR to ME-TCF, condensing row windows on `threads` workers.
 ///
-/// Window condensing is embarrassingly parallel (each 16-row window is
-/// independent), and array packing runs inside the same parallel map (per
-/// contiguous nnz-weighted window range); only the final offset re-basing
-/// concatenation is sequential.
+/// A thin fallible wrapper over [`MeTcfMatrix::try_from_csr`], the one
+/// conversion path: each 16-row window is condensed independently, then
+/// the windows are packed in order with every offset checked. The result
+/// is identical for every thread count.
 ///
 /// # Example
 ///
@@ -42,114 +42,16 @@ pub struct ConversionReport {
 ///
 /// # Errors
 ///
-/// Returns [`DtcError::Format`] ([`FormatError::IndexOverflow`]) when the
-/// matrix's non-zero or TC-block count exceeds ME-TCF's `u32` offset range
-/// — the packed arrays would silently wrap otherwise.
+/// Returns [`DtcError::Format`]
+/// ([`IndexOverflow`](dtc_formats::FormatError::IndexOverflow)) when the
+/// matrix's non-zero or TC-block count exceeds ME-TCF's `u32` offset range.
 ///
 /// # Panics
 ///
 /// Panics if `threads` is zero.
 pub fn convert_to_metcf_parallel(a: &CsrMatrix, threads: usize) -> Result<MeTcfMatrix, DtcError> {
     assert!(threads > 0, "need at least one thread");
-    // Every TC block holds at least one non-zero, so blocks <= nnz and one
-    // upfront bound on nnz also bounds the block count: past it the `u32`
-    // offset arrays (and the merge re-basing below) would wrap.
-    guard_metcf_bounds(a.nnz())?;
-    let num_windows = a.rows().div_ceil(WINDOW_HEIGHT);
-    if threads == 1 || num_windows < threads * 4 {
-        return Ok(MeTcfMatrix::from_csr(a));
-    }
-    // Partition windows into contiguous row ranges at nnz-weighted cut
-    // points (a window's condense+pack cost tracks its non-zeros, so a few
-    // dense windows no longer pin the whole conversion on one worker), then
-    // condense AND pack each range as an independent sub-matrix in the
-    // parallel map — packing used to run serially in the merge, which
-    // Amdahl-capped the conversion speedup. The merge below only re-bases
-    // and concatenates the packed arrays.
-    let row_ptr = a.row_ptr();
-    let window_weights: Vec<u64> = (0..num_windows)
-        .map(|w| {
-            let lo = w * WINDOW_HEIGHT;
-            let hi = ((w + 1) * WINDOW_HEIGHT).min(a.rows());
-            (row_ptr[hi] - row_ptr[lo]) as u64
-        })
-        .collect();
-    let window_plan = dtc_par::ShardPlan::weighted(threads, &window_weights);
-    let chunks: Vec<(usize, usize)> = window_plan
-        .chunk_ranges()
-        .iter()
-        .map(|&(ws, we)| (ws * WINDOW_HEIGHT, (we * WINDOW_HEIGHT).min(a.rows())))
-        .collect();
-    if chunks.len() <= 1 {
-        return Ok(MeTcfMatrix::from_csr(a));
-    }
-    let chunk_weights: Vec<u64> =
-        chunks.iter().map(|&(lo, hi)| (row_ptr[hi] - row_ptr[lo]) as u64).collect();
-    let partials: Vec<MeTcfMatrix> = dtc_par::par_map_collect_weighted(&chunk_weights, |i| {
-        let (lo, hi) = chunks[i];
-        MeTcfMatrix::from_condensed(&Condensed::from_csr(&a.sub_rows(lo..hi)))
-    });
-
-    // Merge: re-base window/block offsets and concatenate the arrays.
-    merge_packed(a, &chunks, partials)
-}
-
-/// Rejects counts the ME-TCF `u32` offset arrays cannot address. Checked
-/// once per conversion (blocks <= nnz, so the non-zero count bounds both).
-fn guard_metcf_bounds(nnz: usize) -> Result<(), DtcError> {
-    if nnz > u32::MAX as usize {
-        return Err(DtcError::Format(FormatError::IndexOverflow { what: "nnz", count: nnz }));
-    }
-    Ok(())
-}
-
-fn merge_packed(
-    a: &CsrMatrix,
-    chunks: &[(usize, usize)],
-    partials: Vec<MeTcfMatrix>,
-) -> Result<MeTcfMatrix, DtcError> {
-    let total_windows: usize = partials.iter().map(MeTcfMatrix::num_windows).sum();
-    let total_blocks: usize = partials.iter().map(MeTcfMatrix::num_tc_blocks).sum();
-    let mut row_window_offset: Vec<u32> = Vec::with_capacity(total_windows + 1);
-    let mut tc_offset: Vec<u32> = Vec::with_capacity(total_blocks + 1);
-    let mut tc_local_id: Vec<u8> = Vec::with_capacity(a.nnz());
-    let mut sparse_a_to_b: Vec<u32> = Vec::with_capacity(total_blocks * 8);
-    let mut values: Vec<f32> = Vec::with_capacity(a.nnz());
-    row_window_offset.push(0);
-    tc_offset.push(0);
-    for (m, &(lo, hi)) in partials.iter().zip(chunks) {
-        debug_assert_eq!(m.rows(), hi - lo);
-        // Checked re-basing: these used to be bare `as u32` casts that
-        // silently wrapped past 2^32 accumulated non-zeros or blocks,
-        // corrupting every offset of the remaining chunks.
-        let nnz_base = u32::try_from(tc_local_id.len()).map_err(|_| {
-            DtcError::Format(FormatError::IndexOverflow { what: "nnz", count: tc_local_id.len() })
-        })?;
-        let block_base = u32::try_from(tc_offset.len() - 1).map_err(|_| {
-            DtcError::Format(FormatError::IndexOverflow {
-                what: "tc blocks",
-                count: tc_offset.len() - 1,
-            })
-        })?;
-        for &o in &m.row_window_offset()[1..] {
-            row_window_offset.push(o + block_base);
-        }
-        for &o in &m.tc_offset()[1..] {
-            tc_offset.push(o + nnz_base);
-        }
-        tc_local_id.extend_from_slice(m.tc_local_id());
-        sparse_a_to_b.extend_from_slice(m.sparse_a_to_b());
-        values.extend_from_slice(m.values());
-    }
-    Ok(MeTcfMatrix::from_raw_parts(
-        a.rows(),
-        a.cols(),
-        row_window_offset,
-        tc_offset,
-        tc_local_id,
-        sparse_a_to_b,
-        values,
-    ))
+    Ok(MeTcfMatrix::try_from_csr(a, threads)?)
 }
 
 /// Timed parallel conversion with the §6 overhead model attached.
@@ -225,23 +127,6 @@ mod tests {
         let r = convert_with_report(&a, 2, &dtc_sim::Device::rtx4090()).unwrap();
         assert!(r.simulated_gpu_ms > 0.0);
         assert_eq!(r.metcf.nnz(), a.nnz());
-    }
-
-    #[test]
-    fn offset_guard_rejects_counts_past_u32() {
-        // A 2^32-non-zero matrix cannot be materialized in a test, so pin
-        // the guard itself: the first unrepresentable count must error as
-        // `DtcError::Format(FormatError::IndexOverflow)`, and the largest
-        // representable one must pass.
-        assert!(guard_metcf_bounds(u32::MAX as usize).is_ok());
-        let err = guard_metcf_bounds(u32::MAX as usize + 1).unwrap_err();
-        match err {
-            DtcError::Format(FormatError::IndexOverflow { what, count }) => {
-                assert_eq!(what, "nnz");
-                assert_eq!(count, u32::MAX as usize + 1);
-            }
-            other => panic!("expected IndexOverflow, got {other:?}"),
-        }
     }
 
     #[test]

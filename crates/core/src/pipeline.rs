@@ -129,33 +129,32 @@ impl DtcSpmmBuilder {
         let _build = dtc_telemetry::span("pipeline.build");
         crate::telemetry::pipeline_builds().incr();
         let key = KeyMaterial::of(a);
-        let (perm, working) = {
+        let reordered = {
             let _phase = dtc_telemetry::span("reorder");
-            if self.config.reorder {
+            self.config.reorder.then(|| {
                 let perm = self.reorderer.reorder(a);
                 let m = a.permute_rows(&perm);
-                (Some(perm), m)
-            } else {
-                (None, a.clone())
-            }
+                (perm, m)
+            })
         };
-        let working_key = if perm.is_some() { KeyMaterial::of(&working) } else { key.clone() };
-        let converted = {
+        let (working, working_key) = match &reordered {
+            Some((_, m)) => (m, KeyMaterial::of(m)),
+            None => (a, key.clone()),
+        };
+        let metcf = {
             let _phase = dtc_telemetry::span("convert");
-            crate::cache::metcf_for(&working)?
+            crate::cache::metcf_for_key(working, &working_key)?
         };
+        // Only the permutation outlives the conversion.
+        let perm = reordered.map(|(perm, _)| perm);
         let decision = {
             let _phase = dtc_telemetry::span("select");
-            self.config.selector.decide(&converted.metcf, &self.config.device)
+            self.config.selector.decide(&metcf, &self.config.device)
         };
         let choice = self.config.force.unwrap_or(decision.choice);
         let _phase = dtc_telemetry::span("lower");
-        let kernel = build_kernel(
-            choice,
-            Arc::clone(&converted.metcf),
-            converted.distinct_cols,
-            &self.config,
-        );
+        let distinct = metcf.distinct_cols();
+        let kernel = build_kernel(choice, metcf, distinct, &self.config);
         Ok(DtcSpmm {
             perm,
             kernel,
@@ -427,9 +426,9 @@ impl DtcSpmm {
         let patched = Arc::clone(shared);
 
         // New identities and per-matrix statistics, straight from the
-        // patched format. The common (unreordered) path never materializes
-        // a CSR: `of_metcf` hashes the reconstructed CSR streams directly
-        // and `distinct_cols` reads the per-window column maps, which is
+        // patched format. The common (unreordered) path never builds a
+        // `CsrMatrix`: `of_metcf` hashes the CSR arrays decoded window by
+        // window and `distinct_cols` reads the per-window column maps, which is
         // what keeps a single-window delta an order of magnitude cheaper
         // than a rebuild. Reordered engines still pay one `to_csr` to key
         // the original-order matrix.
@@ -685,7 +684,7 @@ mod tests {
         // The failed first delta ran while the cache still shared the
         // engine's ME-TCF: the entry stays resident and still shared.
         let entry = crate::cache::metcf_for(&a).unwrap();
-        assert!(std::ptr::eq(engine.metcf(), &*entry.metcf), "engine must still share the entry");
+        assert!(std::ptr::eq(engine.metcf(), &*entry), "engine must still share the entry");
         assert_eq!(crate::cache::invalidate_conversion(&key_before), 1);
     }
 
@@ -696,7 +695,7 @@ mod tests {
         let a = uniform(176, 176, 1100, 216);
         let engine = DtcSpmm::new(&a);
         let entry = crate::cache::metcf_for(&a).unwrap();
-        assert!(std::ptr::eq(engine.metcf(), &*entry.metcf));
+        assert!(std::ptr::eq(engine.metcf(), &*entry));
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! counts per touched window; its [`DeltaReport::drift`] is the signal
 //! `dtc-core` uses to decide whether kernel re-selection is worth running.
 
-use crate::{CsrMatrix, FormatError, MeTcfMatrix, WINDOW_HEIGHT};
+use crate::metcf::Packer;
+use crate::sgt::condense_window;
+use crate::{CsrMatrix, FormatError, MeTcfMatrix, RowWindow, WINDOW_HEIGHT};
 use std::collections::BTreeMap;
 
 /// One pending edit: set the entry to a value, or remove it.
@@ -249,24 +251,6 @@ impl DeltaReport {
 }
 
 impl MeTcfMatrix {
-    /// The `(row, col, value)` triplets of window `w`, with rows local to
-    /// the window.
-    fn window_triplets(&self, w: usize) -> Vec<(usize, usize, f32)> {
-        let blocks = self.window_blocks(w);
-        let window_nnz = (self.tc_offset()[blocks.end] - self.tc_offset()[blocks.start]) as usize;
-        let mut triplets = Vec::with_capacity(window_nnz);
-        for t in blocks {
-            let cols = self.block_cols(t);
-            let (ids, vals) = self.block_entries(t);
-            for (&id, &v) in ids.iter().zip(vals) {
-                let local_row = (id / crate::BLOCK_WIDTH as u8) as usize;
-                let local_col = (id % crate::BLOCK_WIDTH as u8) as usize;
-                triplets.push((local_row, cols[local_col] as usize, v));
-            }
-        }
-        triplets
-    }
-
     /// Applies a batch of edits in place, re-condensing only the touched
     /// 16-row windows and splicing them into the packed arrays (offsets
     /// re-based locally). Untouched windows are copied verbatim, so the
@@ -291,112 +275,70 @@ impl MeTcfMatrix {
             return Ok(report);
         }
 
-        // Re-condense each touched window through the same per-window SGT
-        // path a full conversion uses: condensing is a pure function of a
-        // window's triplets, so the sub-result is that window's exact slice
-        // of a full rebuild.
-        let mut patched: BTreeMap<usize, MeTcfMatrix> = BTreeMap::new();
+        // Decode each touched window, edit its entries, and re-condense
+        // them through the same per-window SGT step a full conversion
+        // uses: condensing is a pure function of a window's entries, so
+        // the result is that window's exact slice of a full rebuild.
+        let mut buckets: [Vec<(u32, f32)>; WINDOW_HEIGHT] = Default::default();
+        let mut col_stage = Vec::new();
+        let mut patched: BTreeMap<usize, RowWindow> = BTreeMap::new();
         for (w, ops) in delta.ops_by_window() {
             let base_row = w * WINDOW_HEIGHT;
-            let window_rows = WINDOW_HEIGHT.min(self.rows() - base_row);
-            let mut entries: BTreeMap<(usize, usize), f32> =
-                self.window_triplets(w).into_iter().map(|(r, c, v)| ((r, c), v)).collect();
+            self.decode_window(w, &mut buckets);
+            let mut entries: BTreeMap<(usize, u32), f32> = BTreeMap::new();
+            for (r, bucket) in buckets.iter().enumerate() {
+                entries.extend(bucket.iter().map(|&(c, v)| ((r, c), v)));
+            }
             for (row, col, op) in ops {
+                let at = (row - base_row, col as u32);
                 match op {
-                    DeltaOp::Upsert(v) => {
-                        entries.insert((row - base_row, col), v);
-                    }
-                    DeltaOp::Delete => {
-                        entries.remove(&(row - base_row, col));
-                    }
-                }
+                    DeltaOp::Upsert(v) => entries.insert(at, v),
+                    DeltaOp::Delete => entries.remove(&at),
+                };
             }
-            let triplets: Vec<(usize, usize, f32)> =
-                entries.into_iter().map(|((r, c), v)| (r, c, v)).collect();
-            let sub = CsrMatrix::from_triplets(window_rows, self.cols(), &triplets)
-                .expect("window triplets stay in bounds");
-            patched.insert(w, MeTcfMatrix::from_csr(&sub));
+            // The edited window, CSR-shaped, straight from the (row, col)
+            // ordered map.
+            let mut row_ptr = vec![0usize; WINDOW_HEIGHT.min(self.rows() - base_row) + 1];
+            let mut col_idx = Vec::with_capacity(entries.len());
+            let mut values = Vec::with_capacity(entries.len());
+            for (&(r, c), &v) in &entries {
+                row_ptr[r + 1] += 1;
+                col_idx.push(c);
+                values.push(v);
+            }
+            for r in 1..row_ptr.len() {
+                row_ptr[r] += row_ptr[r - 1];
+            }
+            let window = condense_window(base_row, &row_ptr, &col_idx, &values, &mut col_stage);
+            patched.insert(w, window);
         }
 
-        // One splice pass over the windows: untouched windows copy their
-        // array slices with offsets re-based; touched windows take the
-        // freshly packed single-window arrays.
-        let nnz_bound = |count: usize| {
-            u32::try_from(count).map_err(|_| FormatError::IndexOverflow { what: "nnz", count })
-        };
-        let block_bound = |count: usize| {
-            u32::try_from(count)
-                .map_err(|_| FormatError::IndexOverflow { what: "tc blocks", count })
-        };
-        let new_nnz = self.nnz() as i64
-            + patched
-                .iter()
-                .map(|(&w, sub)| {
-                    let blocks = self.window_blocks(w);
-                    let before =
-                        self.tc_offset()[blocks.end] as i64 - self.tc_offset()[blocks.start] as i64;
-                    sub.nnz() as i64 - before
-                })
-                .sum::<i64>();
-        nnz_bound(new_nnz as usize)?;
-
-        let mut row_window_offset: Vec<u32> = Vec::with_capacity(self.num_windows() + 1);
-        let mut tc_offset: Vec<u32> = Vec::new();
-        let mut tc_local_id: Vec<u8> = Vec::with_capacity(new_nnz as usize);
-        let mut sparse_a_to_b: Vec<u32> = Vec::new();
-        let mut values: Vec<f32> = Vec::with_capacity(new_nnz as usize);
-        row_window_offset.push(0);
-        tc_offset.push(0);
+        // One splice pass: untouched windows are copied with their offsets
+        // re-based; touched windows take the freshly condensed ones.
+        let (mut nnz, mut blocks) = (self.nnz(), self.num_tc_blocks());
+        for (&w, window) in &patched {
+            let old = self.window_blocks(w);
+            let old_nnz = (self.tc_offset()[old.end] - self.tc_offset()[old.start]) as usize;
+            report.windows.push(WindowDeltaStat {
+                window: w,
+                nnz_before: old_nnz,
+                nnz_after: window.nnz(),
+                blocks_before: old.len(),
+                blocks_after: window.num_blocks(),
+            });
+            nnz = nnz - old_nnz + window.nnz();
+            blocks = blocks - old.len() + window.num_blocks();
+        }
+        let mut packer = Packer::new(self.num_windows(), blocks, nnz);
         for w in 0..self.num_windows() {
-            let blocks = self.window_blocks(w);
             match patched.get(&w) {
-                Some(sub) => {
-                    report.windows.push(WindowDeltaStat {
-                        window: w,
-                        nnz_before: (self.tc_offset()[blocks.end] - self.tc_offset()[blocks.start])
-                            as usize,
-                        nnz_after: sub.nnz(),
-                        blocks_before: blocks.len(),
-                        blocks_after: sub.num_tc_blocks(),
-                    });
-                    let base = tc_local_id.len();
-                    tc_local_id.extend_from_slice(sub.tc_local_id());
-                    values.extend_from_slice(sub.values());
-                    sparse_a_to_b.extend_from_slice(sub.sparse_a_to_b());
-                    for t in 0..sub.num_tc_blocks() {
-                        tc_offset.push(nnz_bound(base + sub.tc_offset()[t + 1] as usize)?);
-                    }
-                }
-                None => {
-                    let old = self.tc_offset()[blocks.start] as usize
-                        ..self.tc_offset()[blocks.end] as usize;
-                    tc_local_id.extend_from_slice(&self.tc_local_id()[old.clone()]);
-                    values.extend_from_slice(&self.values()[old]);
-                    sparse_a_to_b.extend_from_slice(
-                        &self.sparse_a_to_b()
-                            [blocks.start * crate::BLOCK_WIDTH..blocks.end * crate::BLOCK_WIDTH],
-                    );
-                    for t in blocks.clone() {
-                        let in_block = (self.tc_offset()[t + 1] - self.tc_offset()[t]) as usize;
-                        let prev = *tc_offset.last().unwrap() as usize;
-                        tc_offset.push(nnz_bound(prev + in_block)?);
-                    }
-                    debug_assert_eq!(*tc_offset.last().unwrap() as usize, tc_local_id.len());
-                }
+                Some(window) => packer.push_window(window)?,
+                None => packer.copy_window(self, w)?,
             }
-            row_window_offset.push(block_bound(tc_offset.len() - 1)?);
         }
-        report.nnz_after = tc_local_id.len();
-        report.blocks_after = tc_offset.len() - 1;
-        *self = MeTcfMatrix::from_raw_parts(
-            self.rows(),
-            self.cols(),
-            row_window_offset,
-            tc_offset,
-            tc_local_id,
-            sparse_a_to_b,
-            values,
-        );
+        *self = packer.finish(self.rows(), self.cols());
+        report.nnz_after = self.nnz();
+        report.blocks_after = self.num_tc_blocks();
         Ok(report)
     }
 }

@@ -1,4 +1,4 @@
-use crate::{Condensed, CsrMatrix, FormatError, TcBlock, BLOCK_WIDTH, WINDOW_HEIGHT};
+use crate::{Condensed, CsrMatrix, FormatError, RowWindow, TcBlock, BLOCK_WIDTH, WINDOW_HEIGHT};
 
 /// Sentinel marking a padded (absent) column slot in `SparseAtoB`.
 pub const PAD_COL: u32 = u32::MAX;
@@ -45,81 +45,42 @@ pub struct MeTcfMatrix {
 }
 
 impl MeTcfMatrix {
-    /// Converts a CSR matrix to ME-TCF (SGT condensing + array packing).
-    pub fn from_csr(a: &CsrMatrix) -> Self {
-        Self::from_condensed(&Condensed::from_csr(a))
-    }
-
-    /// Packs an already-condensed matrix into ME-TCF arrays.
-    pub fn from_condensed(condensed: &Condensed) -> Self {
-        let num_blocks = condensed.num_tc_blocks();
-        let mut row_window_offset = Vec::with_capacity(condensed.num_windows() + 1);
-        let mut tc_offset = Vec::with_capacity(num_blocks + 1);
-        let mut tc_local_id = Vec::with_capacity(condensed.nnz());
-        let mut sparse_a_to_b = Vec::with_capacity(num_blocks * BLOCK_WIDTH);
-        let mut values = Vec::with_capacity(condensed.nnz());
-        row_window_offset.push(0);
-        tc_offset.push(0);
-        for w in condensed.windows() {
-            for block in w.blocks() {
-                for e in block.entries {
-                    tc_local_id.push(TcBlock::local_id(e));
-                    values.push(e.value);
-                }
-                tc_offset.push(tc_local_id.len() as u32);
-                sparse_a_to_b.extend_from_slice(block.cols);
-                sparse_a_to_b.extend(std::iter::repeat_n(PAD_COL, BLOCK_WIDTH - block.cols.len()));
-            }
-            row_window_offset.push(tc_offset.len() as u32 - 1);
-        }
-        MeTcfMatrix {
-            rows: condensed.rows(),
-            cols: condensed.cols(),
-            row_window_offset,
-            tc_offset,
-            tc_local_id,
-            sparse_a_to_b,
-            values,
-        }
-    }
-
-    /// Assembles an ME-TCF matrix from raw arrays (used by the parallel
-    /// converter in `dtc-core`).
+    /// Converts a CSR matrix to ME-TCF (SGT condensing + array packing) on
+    /// the default worker count.
     ///
     /// # Panics
     ///
-    /// Panics when the array lengths are mutually inconsistent:
-    /// `row_window_offset` must cover `⌈rows/16⌉` windows and end at the
-    /// block count, `tc_offset` must end at the non-zero count, and
-    /// `sparse_a_to_b` must hold 8 slots per block. Empty offset arrays are
-    /// accepted as the zero-window / zero-block degenerate encodings and
-    /// normalized to the canonical `[0]` form (a zero-nnz matrix would
-    /// otherwise underflow the block count below).
-    pub fn from_raw_parts(
-        rows: usize,
-        cols: usize,
-        row_window_offset: Vec<u32>,
-        tc_offset: Vec<u32>,
-        tc_local_id: Vec<u8>,
-        sparse_a_to_b: Vec<u32>,
-        values: Vec<f32>,
-    ) -> Self {
-        let mut row_window_offset = row_window_offset;
-        let mut tc_offset = tc_offset;
-        if row_window_offset.is_empty() {
-            row_window_offset.push(0);
+    /// Panics if the matrix exceeds the format's `u32` offset range (more
+    /// than `u32::MAX` non-zeros); [`MeTcfMatrix::try_from_csr`] returns
+    /// the error instead.
+    pub fn from_csr(a: &CsrMatrix) -> Self {
+        Self::try_from_csr(a, dtc_par::num_threads()).expect("matrix fits ME-TCF's u32 offsets")
+    }
+
+    /// Converts a CSR matrix to ME-TCF, condensing its windows on `threads`
+    /// workers. The result is identical for every thread count.
+    ///
+    /// # Errors
+    ///
+    /// [`FormatError::IndexOverflow`] when the non-zero or TC-block count
+    /// exceeds the format's `u32` offset range.
+    pub fn try_from_csr(a: &CsrMatrix, threads: usize) -> Result<Self, FormatError> {
+        Self::from_condensed(&Condensed::from_csr_with_threads(a, threads))
+    }
+
+    /// Packs an already-condensed matrix into ME-TCF arrays.
+    ///
+    /// # Errors
+    ///
+    /// [`FormatError::IndexOverflow`] when the non-zero or TC-block count
+    /// exceeds the format's `u32` offset range.
+    pub fn from_condensed(condensed: &Condensed) -> Result<Self, FormatError> {
+        let mut packer =
+            Packer::new(condensed.num_windows(), condensed.num_tc_blocks(), condensed.nnz());
+        for w in condensed.windows() {
+            packer.push_window(w)?;
         }
-        if tc_offset.is_empty() {
-            tc_offset.push(0);
-        }
-        assert_eq!(row_window_offset.len(), rows.div_ceil(WINDOW_HEIGHT) + 1);
-        assert_eq!(row_window_offset[0], 0);
-        let num_blocks = tc_offset.len() - 1;
-        assert_eq!(*row_window_offset.last().unwrap() as usize, num_blocks);
-        assert_eq!(*tc_offset.last().unwrap() as usize, tc_local_id.len());
-        assert_eq!(sparse_a_to_b.len(), num_blocks * BLOCK_WIDTH);
-        assert_eq!(values.len(), tc_local_id.len());
-        MeTcfMatrix { rows, cols, row_window_offset, tc_offset, tc_local_id, sparse_a_to_b, values }
+        Ok(packer.finish(condensed.rows(), condensed.cols()))
     }
 
     /// Number of rows.
@@ -259,6 +220,24 @@ impl MeTcfMatrix {
             + 2
     }
 
+    /// Decodes window `w` into one `(col, value)` bucket per local row, in
+    /// ascending column order: the one window decoder behind
+    /// [`MeTcfMatrix::csr_arrays`] and delta patching.
+    pub(crate) fn decode_window(&self, w: usize, buckets: &mut [Vec<(u32, f32)>; WINDOW_HEIGHT]) {
+        for bucket in buckets.iter_mut() {
+            bucket.clear();
+        }
+        for t in self.window_blocks(w) {
+            let cols = self.block_cols(t);
+            let (ids, vals) = self.block_entries(t);
+            for (&id, &v) in ids.iter().zip(vals) {
+                let local_row = (id / BLOCK_WIDTH as u8) as usize;
+                let local_col = (id % BLOCK_WIDTH as u8) as usize;
+                buckets[local_row].push((cols[local_col], v));
+            }
+        }
+    }
+
     /// Reconstructs the canonical CSR arrays — `(row_ptr, col_idx,
     /// values)` in row-major, column-ascending order — **without
     /// sorting**. SGT condensing stores each window's distinct columns
@@ -277,18 +256,7 @@ impl MeTcfMatrix {
         let mut values = Vec::with_capacity(self.nnz());
         let mut buckets: [Vec<(u32, f32)>; WINDOW_HEIGHT] = Default::default();
         for w in 0..self.num_windows() {
-            for bucket in &mut buckets {
-                bucket.clear();
-            }
-            for t in self.window_blocks(w) {
-                let cols = self.block_cols(t);
-                let (ids, vals) = self.block_entries(t);
-                for (&id, &v) in ids.iter().zip(vals) {
-                    let local_row = (id / BLOCK_WIDTH as u8) as usize;
-                    let local_col = (id % BLOCK_WIDTH as u8) as usize;
-                    buckets[local_row].push((cols[local_col], v));
-                }
-            }
+            self.decode_window(w, &mut buckets);
             let base = w * WINDOW_HEIGHT;
             for (local_row, bucket) in buckets.iter().enumerate() {
                 let r = base + local_row;
@@ -313,6 +281,90 @@ impl MeTcfMatrix {
     pub fn to_csr(&self) -> Result<CsrMatrix, FormatError> {
         let (row_ptr, col_idx, values) = self.csr_arrays();
         CsrMatrix::from_parts(self.rows, self.cols, row_ptr, col_idx, values)
+    }
+}
+
+/// Converts a running count to a `u32` offset, or reports the overflow.
+fn offset(count: usize, what: &'static str) -> Result<u32, FormatError> {
+    u32::try_from(count).map_err(|_| FormatError::IndexOverflow { what, count })
+}
+
+/// The one ME-TCF array builder: appends windows in order, from a fresh
+/// SGT condense or copied verbatim out of an already packed matrix, and
+/// checks every offset it writes against the `u32` range.
+pub(crate) struct Packer {
+    row_window_offset: Vec<u32>,
+    tc_offset: Vec<u32>,
+    tc_local_id: Vec<u8>,
+    sparse_a_to_b: Vec<u32>,
+    values: Vec<f32>,
+}
+
+impl Packer {
+    /// An empty packer with room for the given counts.
+    pub(crate) fn new(windows: usize, blocks: usize, nnz: usize) -> Self {
+        let mut row_window_offset = Vec::with_capacity(windows + 1);
+        let mut tc_offset = Vec::with_capacity(blocks + 1);
+        row_window_offset.push(0);
+        tc_offset.push(0);
+        Packer {
+            row_window_offset,
+            tc_offset,
+            tc_local_id: Vec::with_capacity(nnz),
+            sparse_a_to_b: Vec::with_capacity(blocks * BLOCK_WIDTH),
+            values: Vec::with_capacity(nnz),
+        }
+    }
+
+    /// Appends one condensed window.
+    pub(crate) fn push_window(&mut self, window: &RowWindow) -> Result<(), FormatError> {
+        for block in window.blocks() {
+            for e in block.entries {
+                self.tc_local_id.push(TcBlock::local_id(e));
+                self.values.push(e.value);
+            }
+            self.tc_offset.push(offset(self.tc_local_id.len(), "nnz")?);
+            self.sparse_a_to_b.extend_from_slice(block.cols);
+            self.sparse_a_to_b.extend(std::iter::repeat_n(PAD_COL, BLOCK_WIDTH - block.cols.len()));
+        }
+        self.end_window()
+    }
+
+    /// Appends window `w` of a packed matrix verbatim, re-basing its block
+    /// offsets onto what is already packed.
+    pub(crate) fn copy_window(&mut self, m: &MeTcfMatrix, w: usize) -> Result<(), FormatError> {
+        let blocks = m.window_blocks(w);
+        let first = m.tc_offset[blocks.start];
+        let entries = first as usize..m.tc_offset[blocks.end] as usize;
+        self.tc_local_id.extend_from_slice(&m.tc_local_id[entries.clone()]);
+        self.values.extend_from_slice(&m.values[entries.clone()]);
+        self.sparse_a_to_b.extend_from_slice(
+            &m.sparse_a_to_b[blocks.start * BLOCK_WIDTH..blocks.end * BLOCK_WIDTH],
+        );
+        // Offsets grow within a window, so checking its end bounds them all.
+        let base = offset(self.tc_local_id.len(), "nnz")? - entries.len() as u32;
+        self.tc_offset
+            .extend(m.tc_offset[blocks.start + 1..=blocks.end].iter().map(|&o| o - first + base));
+        self.end_window()
+    }
+
+    fn end_window(&mut self) -> Result<(), FormatError> {
+        self.row_window_offset.push(offset(self.tc_offset.len() - 1, "tc blocks")?);
+        Ok(())
+    }
+
+    /// The packed matrix.
+    pub(crate) fn finish(self, rows: usize, cols: usize) -> MeTcfMatrix {
+        debug_assert_eq!(self.row_window_offset.len(), rows.div_ceil(WINDOW_HEIGHT) + 1);
+        MeTcfMatrix {
+            rows,
+            cols,
+            row_window_offset: self.row_window_offset,
+            tc_offset: self.tc_offset,
+            tc_local_id: self.tc_local_id,
+            sparse_a_to_b: self.sparse_a_to_b,
+            values: self.values,
+        }
     }
 }
 
@@ -398,18 +450,16 @@ mod tests {
     }
 
     #[test]
-    fn from_raw_parts_accepts_empty_offset_arrays() {
-        // The zero-block degenerate encodings: empty offset vectors stand
-        // in for the canonical `[0]` and previously underflowed the block
-        // count. A 0-row matrix has zero windows, so `row_window_offset`
-        // may itself be empty.
-        let m = MeTcfMatrix::from_raw_parts(0, 5, vec![], vec![], vec![], vec![], vec![]);
-        assert_eq!(m.num_windows(), 0);
-        assert_eq!(m.num_tc_blocks(), 0);
-        let m = MeTcfMatrix::from_raw_parts(12, 5, vec![0, 0], vec![], vec![], vec![], vec![]);
-        assert_eq!(m.num_windows(), 1);
-        assert_eq!(m.num_tc_blocks(), 0);
-        assert_eq!(m.to_csr().unwrap(), CsrMatrix::from_triplets(12, 5, &[]).unwrap());
+    fn offset_rejects_counts_past_u32() {
+        // A 2^32-non-zero matrix cannot be materialized in a test, so pin
+        // the packer's check itself: the first unrepresentable count must
+        // error as `IndexOverflow`, and the largest representable one pass.
+        assert_eq!(offset(u32::MAX as usize, "nnz"), Ok(u32::MAX));
+        let err = offset(u32::MAX as usize + 1, "tc blocks").unwrap_err();
+        assert_eq!(
+            err,
+            FormatError::IndexOverflow { what: "tc blocks", count: u32::MAX as usize + 1 }
+        );
     }
 
     #[test]
@@ -427,7 +477,7 @@ mod tests {
     fn matches_condensed_block_count() {
         let a = sample();
         let c = Condensed::from_csr(&a);
-        let m = MeTcfMatrix::from_condensed(&c);
+        let m = MeTcfMatrix::from_condensed(&c).unwrap();
         assert_eq!(m.num_tc_blocks(), c.num_tc_blocks());
         assert_eq!(m.mean_nnz_tc(), c.mean_nnz_tc());
         assert_eq!(m.window_block_counts(), c.window_block_counts());

@@ -126,59 +126,39 @@ pub struct Condensed {
 impl Condensed {
     /// Condenses a CSR matrix with SGT.
     pub fn from_csr(a: &CsrMatrix) -> Self {
+        Self::from_csr_with_threads(a, dtc_par::num_threads())
+    }
+
+    /// [`Condensed::from_csr`] on `threads` workers.
+    ///
+    /// SGT condensing is embarrassingly parallel: each 16-row window reads
+    /// only its own rows, and results land in per-window slots, so the
+    /// condensed form is identical for any thread count or steal schedule.
+    /// Shards are cut at nnz quantiles (a window's cost tracks its
+    /// non-zeros) and column dedup stages through the worker's arena.
+    pub(crate) fn from_csr_with_threads(a: &CsrMatrix, threads: usize) -> Self {
         let rows = a.rows();
-        let num_windows = rows.div_ceil(WINDOW_HEIGHT);
-        // SGT condensing is embarrassingly parallel: each 16-row window
-        // reads only its own rows, and results land in per-window slots,
-        // so the condensed form is identical for any thread count or steal
-        // schedule. Shards are cut at nnz quantiles (a window's cost tracks
-        // its non-zeros), column dedup stages through the worker's arena,
-        // and the output vectors are sized exactly before filling.
         let row_ptr = a.row_ptr();
-        let window_nnz =
-            |w: usize| row_ptr[((w + 1) * WINDOW_HEIGHT).min(rows)] - row_ptr[w * WINDOW_HEIGHT];
-        let weights: Vec<u64> = (0..num_windows).map(|w| window_nnz(w) as u64).collect();
-        let plan = dtc_par::ShardPlan::weighted(dtc_par::num_threads(), &weights);
+        let window_rows = |w: usize| w * WINDOW_HEIGHT..((w + 1) * WINDOW_HEIGHT).min(rows);
+        let weights: Vec<u64> = (0..rows.div_ceil(WINDOW_HEIGHT))
+            .map(|w| {
+                let r = window_rows(w);
+                (row_ptr[r.end] - row_ptr[r.start]) as u64
+            })
+            .collect();
+        let plan = dtc_par::ShardPlan::weighted(threads, &weights);
         let windows = dtc_par::par_map_collect_plan(&plan, |w, scratch| {
-            let start_row = w * WINDOW_HEIGHT;
-            let end_row = (start_row + WINDOW_HEIGHT).min(rows);
-            // Gather and dedup columns in reused scratch, then copy out
-            // exactly sized (extend/sort over a fresh Vec would overshoot).
+            let r = window_rows(w);
             let mut col_stage = scratch.u32_buf();
-            for r in start_row..end_row {
-                col_stage.extend_from_slice(a.row_entries(r).0);
-            }
-            col_stage.sort_unstable();
-            col_stage.dedup();
-            let unique_cols: Vec<u32> = col_stage.as_slice().to_vec();
+            let window = condense_window(
+                r.start,
+                &row_ptr[r.start..=r.end],
+                a.col_idx(),
+                a.values(),
+                &mut col_stage,
+            );
             scratch.recycle_u32(col_stage);
-            // Build entries with compressed columns.
-            let mut entries: Vec<CondensedEntry> = Vec::with_capacity(window_nnz(w));
-            for r in start_row..end_row {
-                let (cols, vals) = a.row_entries(r);
-                for (&c, &v) in cols.iter().zip(vals) {
-                    let comp = unique_cols.binary_search(&c).expect("col present") as u32;
-                    entries.push(CondensedEntry {
-                        local_row: (r - start_row) as u8,
-                        comp_col: comp,
-                        orig_col: c,
-                        value: v,
-                    });
-                }
-            }
-            // Group by TC block, then by local row within the block.
-            entries.sort_unstable_by_key(|e| {
-                (e.comp_col as usize / BLOCK_WIDTH, e.local_row, e.comp_col)
-            });
-            let num_blocks = unique_cols.len().div_ceil(BLOCK_WIDTH);
-            let mut block_entry_offsets = vec![0usize; num_blocks + 1];
-            for e in &entries {
-                block_entry_offsets[e.comp_col as usize / BLOCK_WIDTH + 1] += 1;
-            }
-            for b in 0..num_blocks {
-                block_entry_offsets[b + 1] += block_entry_offsets[b];
-            }
-            RowWindow { start_row, unique_cols, entries, block_entry_offsets }
+            window
         });
         Condensed { rows, cols: a.cols(), nnz: a.nnz(), windows }
     }
@@ -254,6 +234,55 @@ impl Condensed {
         }
         CsrMatrix::from_triplets(self.rows, self.cols, &triplets)
     }
+}
+
+/// Condenses one 16-row window starting at global row `start_row`: the one
+/// SGT step shared by full conversion and delta patching.
+///
+/// The window is given CSR-shaped: local row `r` holds
+/// `col_idx[row_ptr[r]..row_ptr[r + 1]]` (strictly ascending columns) and
+/// the matching `values`. `col_stage` is scratch for the column dedup; the
+/// output vectors are sized exactly. Condensing is a pure function of the
+/// window's entries, so any caller feeding the same entries gets the same
+/// window bit for bit.
+pub(crate) fn condense_window(
+    start_row: usize,
+    row_ptr: &[usize],
+    col_idx: &[u32],
+    values: &[f32],
+    col_stage: &mut Vec<u32>,
+) -> RowWindow {
+    let all = row_ptr[0]..row_ptr[row_ptr.len() - 1];
+    col_stage.clear();
+    col_stage.extend_from_slice(&col_idx[all.clone()]);
+    col_stage.sort_unstable();
+    col_stage.dedup();
+    let unique_cols = col_stage.to_vec();
+    // Build entries with compressed columns.
+    let mut entries: Vec<CondensedEntry> = Vec::with_capacity(all.len());
+    for (local_row, bounds) in row_ptr.windows(2).enumerate() {
+        let row = bounds[0]..bounds[1];
+        for (&c, &v) in col_idx[row.clone()].iter().zip(&values[row]) {
+            let comp = unique_cols.binary_search(&c).expect("col present") as u32;
+            entries.push(CondensedEntry {
+                local_row: local_row as u8,
+                comp_col: comp,
+                orig_col: c,
+                value: v,
+            });
+        }
+    }
+    // Group by TC block, then by local row within the block.
+    entries.sort_unstable_by_key(|e| (e.comp_col as usize / BLOCK_WIDTH, e.local_row, e.comp_col));
+    let num_blocks = unique_cols.len().div_ceil(BLOCK_WIDTH);
+    let mut block_entry_offsets = vec![0usize; num_blocks + 1];
+    for e in &entries {
+        block_entry_offsets[e.comp_col as usize / BLOCK_WIDTH + 1] += 1;
+    }
+    for b in 0..num_blocks {
+        block_entry_offsets[b + 1] += block_entry_offsets[b];
+    }
+    RowWindow { start_row, unique_cols, entries, block_entry_offsets }
 }
 
 #[cfg(test)]

@@ -15,8 +15,8 @@
 //!   plus a TF32 round-to-nearest-even error envelope derived from the
 //!   mantissa emulation in `dtc-formats`;
 //! - [`runner`] executes every case differentially across all 12
-//!   [`SpmmKernel`](dtc_baselines::SpmmKernel) models, both ME-TCF
-//!   conversion paths (serial SGT condensing and the parallel merge), and
+//!   [`SpmmKernel`](dtc_baselines::SpmmKernel) models, ME-TCF conversion
+//!   on 1 and 2 workers, and
 //!   the TCA-reordered pipeline, replaying the `dtc-verify` lints over
 //!   each lowered trace;
 //! - [`shrink`] greedily minimizes failing cases into reproducers small

@@ -7,10 +7,9 @@
 //!    each kernel's lowered trace is replayed through the full `dtc-verify`
 //!    lint battery (structural, resources, conservation, coverage,
 //!    speed-of-light over a simulated report).
-//! 2. **Conversion paths** — serial SGT condensing
-//!    (`MeTcfMatrix::from_csr`) versus the parallel merge
-//!    (`convert_to_metcf_parallel`), plus the `to_csr` round-trip, must
-//!    agree bit-for-bit.
+//! 2. **Conversion** — the one conversion path
+//!    (`convert_to_metcf_parallel`) condensing on 1 worker versus 2,
+//!    plus the `to_csr` round-trip, must agree bit-for-bit.
 //! 3. **Pipeline** — the end-to-end `DtcSpmm` engine with TCA reordering
 //!    on and off (exercising the conversion cache and the permutation
 //!    undo) must also land inside the envelope.
@@ -34,7 +33,7 @@ use dtc_baselines::{
     BlockSpmm, CusparseSpmm, FlashLlmSpmm, HpSpmm, HybridSplitSpmm, SparseTirSpmm, SpartaSpmm,
     SpmmKernel, SputnikSpmm, TcgnnSpmm, SPARTA_DEFAULT_LIMIT,
 };
-use dtc_core::cache::{clear_conversion_cache, metcf_for, CachedConversion};
+use dtc_core::cache::{clear_conversion_cache, metcf_for};
 use dtc_core::convert::convert_to_metcf_parallel;
 use dtc_core::{BalancedDtcKernel, DtcKernel, DtcSpmm};
 use dtc_formats::{CsrMatrix, DenseMatrix, MatrixDelta, MeTcfMatrix};
@@ -54,7 +53,7 @@ pub enum FailureKind {
     ValueMismatch,
     /// The lowered trace produced error-severity `dtc-verify` diagnostics.
     LintError,
-    /// Serial and parallel ME-TCF conversion disagree.
+    /// ME-TCF conversion on 1 and on 2 workers disagrees.
     ConversionDiverged,
     /// `MeTcfMatrix::to_csr` does not reproduce the operand.
     RoundTripBroken,
@@ -196,7 +195,7 @@ pub fn run_case(case: &FuzzCase, device: &Device) -> CaseOutcome {
     let n = b.cols();
     let reference = Reference::compute(a, b);
 
-    // Axis 2: conversion paths (serial SGT vs parallel merge + round-trip).
+    // Axis 2: conversion on 1 vs 2 workers, plus the round-trip.
     check_conversion(a, &mut out);
 
     // Axis 1: the 12-kernel lineup.
@@ -379,10 +378,8 @@ fn check_cache_lookups(a: &CsrMatrix, out: &mut CaseOutcome) {
             // caught by `guarded` as a reportable failure either way).
             dtc_par::set_threads(Some(threads));
             let lookup = |m: &CsrMatrix| metcf_for(m).expect("fuzz case within u32 bounds");
-            let direct = |m: &CsrMatrix| {
-                let metcf = convert_to_metcf_parallel(m, threads).expect("within u32 bounds");
-                (metcf, distinct_col_count(m))
-            };
+            let direct =
+                |m: &CsrMatrix| convert_to_metcf_parallel(m, threads).expect("within u32 bounds");
             clear_conversion_cache();
             let cold = lookup(a);
             let near_dup = variant.as_ref().map(|v| (lookup(v), direct(v)));
@@ -393,16 +390,13 @@ fn check_cache_lookups(a: &CsrMatrix, out: &mut CaseOutcome) {
         match result {
             Err(msg) => out.push(&label, FailureKind::Panic, msg),
             Ok((want, cold, near_dup, warm)) => {
-                let same = |got: &CachedConversion, (metcf, distinct): &(MeTcfMatrix, usize)| {
-                    got.distinct_cols == *distinct && metcf_bitwise_eq(&got.metcf, metcf)
-                };
-                if !same(&cold, &want) {
+                if !metcf_bitwise_eq(&cold, &want) {
                     out.push(&label, FailureKind::CacheDiverged, "cold lookup diverges".into());
                 }
-                if !same(&warm, &want) {
+                if !metcf_bitwise_eq(&warm, &want) {
                     out.push(&label, FailureKind::CacheDiverged, "warm lookup diverges".into());
                 }
-                if near_dup.is_some_and(|(got, want)| !same(&got, &want)) {
+                if near_dup.is_some_and(|(got, want)| !metcf_bitwise_eq(&got, &want)) {
                     out.push(
                         &label,
                         FailureKind::CacheDiverged,
@@ -414,14 +408,19 @@ fn check_cache_lookups(a: &CsrMatrix, out: &mut CaseOutcome) {
     }
 }
 
-/// The conversion-path differential: serial vs parallel, plus round-trip.
+/// The conversion differential: the one conversion path condensing on 1
+/// worker vs 2, plus the round-trip.
 fn check_conversion(a: &CsrMatrix, out: &mut CaseOutcome) {
-    let serial = match guarded(|| MeTcfMatrix::from_csr(a)) {
+    let serial = match guarded(|| convert_to_metcf_parallel(a, 1)) {
         Err(msg) => {
             out.push("convert/serial", FailureKind::Panic, msg);
             return;
         }
-        Ok(m) => m,
+        Ok(Err(e)) => {
+            out.push("convert/serial", FailureKind::ExecError, e.to_string());
+            return;
+        }
+        Ok(Ok(m)) => m,
     };
     match guarded(|| convert_to_metcf_parallel(a, 2)) {
         Err(msg) => out.push("convert/parallel", FailureKind::Panic, msg),
@@ -432,7 +431,7 @@ fn check_conversion(a: &CsrMatrix, out: &mut CaseOutcome) {
                     "convert/parallel",
                     FailureKind::ConversionDiverged,
                     format!(
-                        "parallel merge: {} blocks vs serial {} blocks",
+                        "2 workers: {} blocks vs 1 worker {} blocks",
                         parallel.num_tc_blocks(),
                         serial.num_tc_blocks()
                     ),

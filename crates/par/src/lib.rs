@@ -180,8 +180,6 @@ impl ShardPlan {
     }
 
     /// The contiguous item ranges at chunk (steal-granule) level, in order.
-    /// Callers that shard derived structures (e.g. conversion sub-matrices)
-    /// reuse these cut points.
     pub fn chunk_ranges(&self) -> &[(usize, usize)] {
         &self.chunks
     }
@@ -695,7 +693,7 @@ where
 }
 
 /// [`par_map_collect`] with an explicit thread count (callers that sweep or
-/// pin thread counts, e.g. `convert_to_metcf_parallel`).
+/// pin thread counts).
 pub fn par_map_collect_with<R, F>(threads: usize, n: usize, f: F) -> Vec<R>
 where
     R: Send,

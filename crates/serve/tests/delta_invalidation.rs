@@ -123,7 +123,7 @@ proptest! {
 
         // And the conversion cache now serves only the post-edit format.
         let conv = metcf_for(&edited).expect("within u32 bounds");
-        prop_assert!(*conv.metcf == *engine.metcf());
+        prop_assert!(*conv == *engine.metcf());
     }
 }
 
@@ -170,7 +170,7 @@ proptest! {
         prop_assert_eq!(invalidate_conversion(&material_a), 0);
         let edited = delta.apply_to_csr(&a).expect("in-bounds delta");
         let conv = metcf_for(&edited).expect("within u32 bounds");
-        prop_assert!(*conv.metcf == MeTcfMatrix::from_csr(&edited));
-        prop_assert!(*conv.metcf == *engine.metcf());
+        prop_assert!(*conv == MeTcfMatrix::from_csr(&edited));
+        prop_assert!(*conv == *engine.metcf());
     }
 }

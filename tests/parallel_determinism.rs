@@ -5,6 +5,7 @@
 //! for every thread count — not merely "close": floating-point reduction
 //! order never changes, so `to_bits()` equality is asserted throughout.
 
+use dtc_spmm::core::convert::convert_to_metcf_parallel;
 use dtc_spmm::core::{
     clear_conversion_cache, conversion_cache_stats, BalancedDtcKernel, DtcKernel, DtcSpmm,
     KernelOpts, Selector, SpmmKernel,
@@ -202,6 +203,25 @@ fn repeated_simulate_is_consistent() {
         r3.time_ms,
         r1.time_ms
     );
+}
+
+/// `convert_to_metcf_parallel`'s `threads` is the worker count of the
+/// condense: it sets the plan's bands even when the process-wide default
+/// is one thread.
+#[test]
+fn convert_threads_sets_the_worker_count() {
+    let _guard = override_lock();
+    // 71 windows: a count no other test in this binary converts.
+    let a = gen::uniform(71 * 16, 400, 9_000, 14);
+    dtc_par::set_exec_log(true);
+    let metcf = with_threads(1, || convert_to_metcf_parallel(&a, 3)).unwrap();
+    dtc_par::set_exec_log(false);
+    let log = dtc_par::drain_exec_log();
+    assert!(
+        log.iter().any(|r| r.n == 71 && r.bands_used == 3),
+        "no 3-band condense of the 71 windows in {log:?}"
+    );
+    assert_eq!(metcf, MeTcfMatrix::from_csr(&a));
 }
 
 /// `CsrMatrix` round-trip sanity for the helper used above.
